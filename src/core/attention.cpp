@@ -39,8 +39,8 @@ struct DotLogit {
   std::int64_t d;
   float scale;
   float operator()(const simd::SpanOps& ops, vid_t u, eid_t, vid_t v) const {
-    return simd::dot(ops, q + static_cast<std::int64_t>(u) * d,
-                     k + static_cast<std::int64_t>(v) * d, d) *
+    return ops.dot(q + static_cast<std::int64_t>(u) * d,
+                   k + static_cast<std::int64_t>(v) * d, d) *
            scale;
   }
 };
@@ -64,8 +64,8 @@ struct WCopyU {
   static constexpr bool kUsesEdgeId = true;
   /// Weighted row-block protocol (Schedule-IR unroll path in the fused
   /// sweep): the message is a pure weighted gather, so a row's whole edge
-  /// group can fold through simd::waxpy_rows with the output tile pinned in
-  /// vector registers. The weights array is the row's CSR-position-
+  /// group can fold through SpanOps::waxpy_rows with the output tile pinned
+  /// in vector registers. The weights array is the row's CSR-position-
   /// contiguous alpha values (the softmax scratch, see fused_rows).
   static constexpr bool kSupportsWeightedRowBlock = true;
   const float* x;
@@ -75,8 +75,8 @@ struct WCopyU {
   void apply(const simd::SpanOps& ops, vid_t u, eid_t e, vid_t,
              float* out_row, std::int64_t j0, std::int64_t j1) const {
     static_assert(Reducer::kAccum == simd::Accum::kSum);
-    simd::axpy(ops, out_row + j0, x + static_cast<std::int64_t>(u) * d + j0,
-               alpha[e], j1 - j0);
+    ops.axpy(out_row + j0, x + static_cast<std::int64_t>(u) * d + j0,
+             alpha[e], j1 - j0);
   }
   /// out_row[j] += w[i] * x[idx[i], j] folded in i order — the same mul/add
   /// chain cnt apply() calls run.
@@ -84,8 +84,7 @@ struct WCopyU {
                            std::int64_t cnt, const float* w, float* out_row,
                            std::int64_t j0, std::int64_t j1,
                            int unroll) const {
-    simd::waxpy_rows(ops, out_row + j0, x + j0, d, idx, w, cnt, j1 - j0,
-                     unroll);
+    ops.waxpy_rows(out_row + j0, x + j0, d, idx, w, cnt, j1 - j0, unroll);
   }
 };
 
@@ -106,7 +105,7 @@ struct WCopyE {
   void apply(const simd::SpanOps& ops, vid_t, eid_t e, vid_t,
              float* out_row, std::int64_t j0, std::int64_t j1) const {
     static_assert(Reducer::kAccum == simd::Accum::kSum);
-    simd::axpy(ops, out_row + j0, edge + e * d + j0, alpha[e], j1 - j0);
+    ops.axpy(out_row + j0, edge + e * d + j0, alpha[e], j1 - j0);
   }
 };
 
@@ -174,11 +173,11 @@ struct WMlpMsg {
     if (static_cast<std::int64_t>(scratch.size()) < n)
       scratch.resize(static_cast<std::size_t>(n));
     float* msg = scratch.data();
-    simd::fill(ops, msg, 0.0f, n);
+    ops.fill(msg, 0.0f, n);
     for (std::int64_t k = 0; k < d1; ++k)
-      simd::axpy(ops, msg, w + k * d2 + j0, s[k], n);
-    simd::relu(ops, msg, n);
-    simd::axpy(ops, out_row + j0, msg, alpha[e], n);
+      ops.axpy(msg, w + k * d2 + j0, s[k], n);
+    ops.relu(msg, n);
+    ops.axpy(out_row + j0, msg, alpha[e], n);
   }
 };
 
@@ -202,8 +201,8 @@ inline void row_softmax(const simd::SpanOps& ops, const std::int64_t* indptr,
   float* l = buf.data();
   for (std::int64_t i = lo; i < hi; ++i)
     l[i - lo] = logit(ops, indices[i], edge_ids[i], static_cast<vid_t>(v));
-  const float mx = simd::hmax(ops, l, deg);
-  const float denom = simd::exp_scale(ops, l, -mx, deg);
+  const float mx = ops.hmax(l, deg);
+  const float denom = ops.exp_scale(l, -mx, deg);
   for (std::int64_t i = 0; i < deg; ++i) l[i] /= denom;
   for (std::int64_t i = 0; i < deg; ++i) alpha[edge_ids[lo + i]] = l[i];
 }
@@ -245,7 +244,7 @@ void fused_rows(const simd::SpanOps& ops, const graph::Csr& adj,
     const std::int64_t c1 = std::min(c0 + chunk, r1);
     for (std::int64_t v = c0; v < c1; ++v) {
       float* out_row = out + v * d_out;
-      simd::fill(ops, out_row, 0.0f, d_out);
+      ops.fill(out_row, 0.0f, d_out);
       const std::int64_t lo = indptr[v], hi = indptr[v + 1];
       if (lo == hi) continue;
       row_softmax(ops, indptr, indices, edge_ids, v, logit, buf, alpha);
@@ -482,7 +481,7 @@ Tensor edge_softmax_backward(const graph::Csr& adj,
             abuf[static_cast<std::size_t>(i - lo)] = av[edge_ids[i]];
             gbuf[static_cast<std::size_t>(i - lo)] = gv[edge_ids[i]];
           }
-          const float dot = simd::dot(span, abuf.data(), gbuf.data(), deg);
+          const float dot = span.dot(abuf.data(), gbuf.data(), deg);
           for (std::int64_t i = lo; i < hi; ++i) {
             const eid_t e = edge_ids[i];
             dv[e] = av[e] * (gv[e] - dot);

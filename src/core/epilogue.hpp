@@ -59,16 +59,16 @@ struct EpilogueOps {
                       d);
           break;
         case EpilogueKind::kScale:
-          simd::scale(ops, out_row, s.scalar, d);
+          ops.scale(out_row, s.scalar, d);
           break;
         case EpilogueKind::kRelu:
-          simd::relu(ops, out_row, d);
+          ops.relu(out_row, d);
           break;
         case EpilogueKind::kLeakyRelu:
-          simd::leaky_relu(ops, out_row, s.scalar, d);
+          ops.leaky_relu(out_row, s.scalar, d);
           break;
         case EpilogueKind::kBiasRelu:
-          simd::bias_relu(ops, out_row, s.data, d);
+          ops.bias_relu(out_row, s.data, d);
           break;
       }
     }

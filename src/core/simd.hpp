@@ -4,9 +4,13 @@
 // template walks edges, and for every edge visit the innermost loop sweeps a
 // contiguous feature span. This header exposes that inner loop as a small
 // set of span primitives — "fold this message span into the output row under
-// reducer R" — implemented three times, as portable scalar code, AVX2/FMA
-// intrinsics, and AVX-512 intrinsics, and selected once at runtime via CPU
-// detection (a function pointer table, the classic runtime-dispatch idiom).
+// reducer R" — behind a function pointer table selected once at runtime via
+// CPU detection (the classic runtime-dispatch idiom). There are two
+// implementations: portable scalar code, and one vector body per primitive
+// written against a width trait (vector type, lane count, load/store,
+// arithmetic, horizontal reductions and a tail policy) and instantiated for
+// 8 lanes (AVX2/FMA) and 16 lanes (AVX-512). The two vector tables differ
+// only in their trait; see simd.cpp and simd_body.inc.
 //
 // Rounding contract: for every accumulation primitive all backends perform
 // the SAME IEEE operations per element in the SAME order along the feature
@@ -16,10 +20,10 @@
 // exact reproducibility for throughput (SDDMM results are tolerance-checked,
 // not bit-compared).
 //
-// Masked tails (AVX-512): where the scalar and AVX2 backends peel the last
-// n % width elements into a scalar loop, the AVX-512 backend covers them
-// with ONE masked vector operation (`_mm512_mask[z]_*` with a (1 << rem) - 1
-// lane mask). This does not weaken the contract: a masked lane either runs
+// Tail policies: the 8-lane trait peels the last n % 8 elements into scalar
+// ops, exactly the scalar loop. The 16-lane trait covers the last n % 16
+// elements with ONE masked vector operation (`_mm512_mask[z]_*` with a
+// (1 << rem) - 1 lane mask). This does not weaken the contract: a masked lane either runs
 // the identical single IEEE operation the scalar loop would run, or is
 // switched off entirely — masked-off lanes are never loaded into the
 // destination, and inputs for them are zero-filled (`maskz`) loads whose
@@ -29,8 +33,8 @@
 //
 // Narrow spans (AVX-512): a span with n < 16 is pure tail — one masked
 // 512-bit op loses ~2.4x to one full 256-bit AVX2 vector (the recorded
-// BENCH_kernels.json d=8 regression) — so every AVX-512 primitive routes
-// n < 16 to its AVX2 implementation (one-step intra-table fallback).
+// BENCH_kernels.json d=8 regression) — so every 16-lane primitive routes
+// n < 16 to its 8-lane instantiation (one-step intra-table fallback).
 // Accumulation paths are unchanged bitwise (all backends already agree);
 // dot/exp_scale/hmax become exactly the AVX2 results on narrow spans.
 //
@@ -212,37 +216,13 @@ class ScopedIsa {
 };
 
 // ---------------------------------------------------------------------------
-// Convenience wrappers over a RESOLVED table. The kernel templates call
+// Enum-indexed wrappers over a RESOLVED table. The kernel templates call
 // span_ops() ONCE per launch and thread the reference through the bulk-UDF
 // protocol, so the per-span cost is a direct table load — no atomic load, no
-// re-dispatch (the hoisting the ROADMAP called for).
+// re-dispatch. Single-entry primitives need no wrapper: callers write
+// `ops.fill(...)`, `ops.dot(...)` and so on.
 // ---------------------------------------------------------------------------
 
-inline void fill(const SpanOps& ops, float* out, float v, std::int64_t n) {
-  ops.fill(out, v, n);
-}
-inline void scale(const SpanOps& ops, float* out, float s, std::int64_t n) {
-  ops.scale(out, s, n);
-}
-inline void relu(const SpanOps& ops, float* out, std::int64_t n) {
-  ops.relu(out, n);
-}
-inline void leaky_relu(const SpanOps& ops, float* out, float slope,
-                       std::int64_t n) {
-  ops.leaky_relu(out, slope, n);
-}
-inline void bias_relu(const SpanOps& ops, float* out, const float* b,
-                      std::int64_t n) {
-  ops.bias_relu(out, b, n);
-}
-inline void axpy(const SpanOps& ops, float* out, const float* x, float s,
-                 std::int64_t n) {
-  ops.axpy(out, x, s, n);
-}
-inline float dot(const SpanOps& ops, const float* a, const float* b,
-                 std::int64_t n) {
-  return ops.dot(a, b, n);
-}
 inline void accum(const SpanOps& ops, Accum r, float* out, const float* x,
                   std::int64_t n) {
   ops.accum[static_cast<int>(r)](out, x, n);
@@ -257,13 +237,6 @@ inline void accum_binop_scalar(const SpanOps& ops, Accum r, BinOp op,
   ops.accum_binop_scalar[static_cast<int>(r)][static_cast<int>(op)](out, a, s,
                                                                     n);
 }
-inline float hmax(const SpanOps& ops, const float* x, std::int64_t n) {
-  return ops.hmax(x, n);
-}
-inline float exp_scale(const SpanOps& ops, float* io, float shift,
-                       std::int64_t n) {
-  return ops.exp_scale(io, shift, n);
-}
 inline void waxpy_binop(const SpanOps& ops, BinOp op, float* out,
                         const float* a, const float* b, float s,
                         std::int64_t n) {
@@ -274,22 +247,11 @@ inline void waxpy_binop_scalar(const SpanOps& ops, BinOp op, float* out,
                                std::int64_t n) {
   ops.waxpy_binop_scalar[static_cast<int>(op)](out, a, c, s, n);
 }
-inline void gather_rows(const SpanOps& ops, float* out, const float* src,
-                        const std::int32_t* idx, std::int64_t m,
-                        std::int64_t d) {
-  ops.gather_rows(out, src, idx, m, d);
-}
 inline void accum_rows(const SpanOps& ops, Accum r, float* out,
                        const float* src, std::int64_t stride,
                        const std::int32_t* idx, std::int64_t cnt,
                        std::int64_t n, int unroll) {
   ops.accum_rows[static_cast<int>(r)](out, src, stride, idx, cnt, n, unroll);
-}
-inline void waxpy_rows(const SpanOps& ops, float* out, const float* src,
-                       std::int64_t stride, const std::int32_t* idx,
-                       const float* w, std::int64_t cnt, std::int64_t n,
-                       int unroll) {
-  ops.waxpy_rows(out, src, stride, idx, w, cnt, n, unroll);
 }
 
 // (No active-table convenience forms: a one-off span outside a kernel

@@ -82,7 +82,7 @@ void spmm_rows(const simd::SpanOps& ops, const std::int64_t* indptr,
                std::int64_t j1, bool init) {
   for (std::int64_t v = row_begin; v < row_end; ++v) {
     float* out_row = out + v * d_out;
-    if (init) simd::fill(ops, out_row + j0, Reducer::identity(), j1 - j0);
+    if (init) ops.fill(out_row + j0, Reducer::identity(), j1 - j0);
     for (std::int64_t i = indptr[v]; i < indptr[v + 1]; ++i) {
       // UDFs that never read the edge id skip the edge_ids load entirely:
       // 8 B less adjacency traffic per edge visit, which matters for tiled
@@ -117,9 +117,9 @@ void spmm_postprocess(const simd::SpanOps& ops, const std::int64_t* row_degree,
           float* out_row = out + v * d_out;
           const std::int64_t deg = row_degree[v];
           if (deg == 0) {
-            simd::fill(ops, out_row, Reducer::empty_value(), d_out);
+            ops.fill(out_row, Reducer::empty_value(), d_out);
           } else if (Reducer::needs_degree_normalize()) {
-            simd::scale(ops, out_row, 1.0f / static_cast<float>(deg), d_out);
+            ops.scale(out_row, 1.0f / static_cast<float>(deg), d_out);
           }
           if (fused) epilogue->apply(ops, v, out_row, d_out);
         }
@@ -155,7 +155,7 @@ void spmm_interpret(const simd::SpanOps& ops, const graph::Csr& adj,
         for (std::int64_t v = c0; v < c1; ++v) {
           float* out_row = out + v * d_out;
           if (init)
-            simd::fill(ops, out_row + j0, Reducer::identity(), j1 - j0);
+            ops.fill(out_row + j0, Reducer::identity(), j1 - j0);
           const std::int64_t lo = indptr[v];
           const std::int64_t hi = indptr[v + 1];
           if constexpr (HasRowBlock<MsgFn>::value) {

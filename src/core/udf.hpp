@@ -192,10 +192,10 @@ struct MlpMsg {
     if (static_cast<std::int64_t>(scratch.size()) < n)
       scratch.resize(static_cast<std::size_t>(n));
     float* msg = scratch.data();
-    simd::fill(ops, msg, 0.0f, n);
+    ops.fill(msg, 0.0f, n);
     for (std::int64_t k = 0; k < d1; ++k)
-      simd::axpy(ops, msg, w + k * d2 + j0, s[k], n);
-    simd::relu(ops, msg, n);
+      ops.axpy(msg, w + k * d2 + j0, s[k], n);
+    ops.relu(msg, n);
     simd::accum(ops, Reducer::kAccum, out_row + j0, msg, n);
   }
 };
@@ -223,7 +223,7 @@ struct DotUV {
                 std::int64_t, std::int64_t k0, std::int64_t k1) const {
     const float* au = a + static_cast<std::int64_t>(u) * d;
     const float* bv = b + static_cast<std::int64_t>(v) * d;
-    return simd::dot(ops, au + k0, bv + k0, k1 - k0);
+    return ops.dot(au + k0, bv + k0, k1 - k0);
   }
 };
 
@@ -242,7 +242,7 @@ struct MultiHeadDotUV {
         a + (static_cast<std::int64_t>(u) * heads + h) * head_dim;
     const float* bv =
         b + (static_cast<std::int64_t>(v) * heads + h) * head_dim;
-    return simd::dot(ops, au + k0, bv + k0, k1 - k0);
+    return ops.dot(au + k0, bv + k0, k1 - k0);
   }
 };
 

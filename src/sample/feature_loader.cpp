@@ -37,8 +37,8 @@ tensor::Tensor gather_rows(const tensor::Tensor& features,
           const graph::vid_t r = rows[static_cast<std::size_t>(i)];
           FG_CHECK_MSG(r >= 0 && r < n, "gather row out of range");
         }
-        simd::gather_rows(ops, out.data() + r0 * d, features.data(),
-                          rows.data() + r0, r1 - r0, d);
+        ops.gather_rows(out.data() + r0 * d, features.data(),
+                        rows.data() + r0, r1 - r0, d);
       });
   return out;
 }

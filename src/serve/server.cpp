@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -119,6 +121,23 @@ std::vector<tensor::Tensor> ServingEngine::serve_batch(
   return outs;
 }
 
+void ServingEngine::validate_seeds(
+    const std::vector<graph::vid_t>& seeds) const {
+  const std::int64_t num_vertices = sampler_->graph().num_rows;
+  std::vector<graph::vid_t> sorted = seeds;
+  std::sort(sorted.begin(), sorted.end());
+  for (const graph::vid_t s : sorted) {
+    if (s < 0 || s >= num_vertices)
+      throw std::invalid_argument("seed " + std::to_string(s) +
+                                  " is not a vertex in [0, " +
+                                  std::to_string(num_vertices) + ")");
+  }
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end())
+    throw std::invalid_argument("seed " + std::to_string(*dup) +
+                                " appears more than once in one request");
+}
+
 ServeStats ServingEngine::stats() const {
   ServeStats s;
   s.requests = requests_.value();
@@ -160,15 +179,22 @@ Server::Server(ServingEngine& engine) : engine_(engine) {
 Server::~Server() { close(); }
 
 std::future<tensor::Tensor> Server::submit(std::vector<graph::vid_t> seeds) {
-  std::future<tensor::Tensor> fut;
+  Pending p;
+  std::future<tensor::Tensor> fut = p.promise.get_future();
+  try {
+    engine_.validate_seeds(seeds);
+  } catch (const std::invalid_argument&) {
+    // Fail this request alone: an invalid seed reaching the serving lane
+    // would trip a sampler/coalescer check and abort every tenant.
+    p.promise.set_exception(std::current_exception());
+    return fut;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FG_CHECK_MSG(!closed_, "submit after Server::close");
-    Pending p;
     p.request.id = next_id_++;
     p.request.seeds = std::move(seeds);
     p.arrival = std::chrono::steady_clock::now();
-    fut = p.promise.get_future();
     pending_.push_back(std::move(p));
   }
   admission_cv_.notify_all();

@@ -103,6 +103,11 @@ class ServingEngine {
   /// what serving that request alone would produce.
   std::vector<tensor::Tensor> serve_batch(std::vector<Request> requests);
 
+  /// Throws std::invalid_argument unless every seed is a vertex of the
+  /// sampler's graph and no seed repeats: the preconditions serve_batch
+  /// asserts, checked where requests enter from outside the process.
+  void validate_seeds(const std::vector<graph::vid_t>& seeds) const;
+
   const ServeOptions& options() const { return options_; }
   FeatureCache* feature_cache() const { return cache_; }
   ServeStats stats() const;
@@ -137,8 +142,10 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Enqueues one request; the future resolves to its (seeds.size() x d)
-  /// output rows once its batch is served. Must not be called after
-  /// close().
+  /// output rows once its batch is served. A request that fails
+  /// validate_seeds is never enqueued: its future holds the
+  /// std::invalid_argument, and every other request is unaffected. Must not
+  /// be called after close().
   std::future<tensor::Tensor> submit(std::vector<graph::vid_t> seeds);
 
   /// Stops admission, drains every pending request, joins the lane.

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -351,6 +352,51 @@ TEST(Serve, ServerServesConcurrentTenantsCorrectly) {
   EXPECT_EQ(stats.requests, static_cast<std::int64_t>(requests.size()));
   EXPECT_GE(stats.batches, 1);
   EXPECT_LE(stats.batches, stats.requests);
+}
+
+TEST(Serve, ServerFailsOnlyTheInvalidRequest) {
+  // Requests with an out-of-range or duplicate seed, interleaved with valid
+  // ones: each invalid request's future holds std::invalid_argument, and
+  // every valid request is still served bit-identically to solo serving.
+  const auto data = fg::minidgl::make_sbm_classification(
+      200, 8.0, 4, 0.9, 12, 2.0f, 37);
+  fg::minidgl::ExecContext ctx;
+  ctx.num_threads = 1;
+  fg::minidgl::Trainer trainer(
+      data, fg::minidgl::Model("sage-mean", 12, 16, 4, 2), ctx, 0.05f);
+
+  const auto requests = overlapping_requests(data.graph.num_vertices(), 12);
+  fg::minidgl::ServeRequestsOptions solo;
+  solo.sampler.fanouts = {3, 3};
+  solo.coalesce = false;
+  solo.feature_cache_rows = 0;
+  const auto ref = trainer.serve_requests(solo, requests);
+
+  fg::sample::NeighborSampler sampler(data.graph.in_csr(), solo.sampler);
+  fg::sample::BlockScheduleCache sched_cache;
+  ServeOptions opts;
+  opts.latency_bound_s = 5e-3;
+  ServingEngine engine(sampler, data.features,
+                       trainer.make_serve_compute(&sched_cache, false), opts);
+  fg::serve::Server server(engine);
+
+  const auto n = static_cast<vid_t>(data.graph.num_vertices());
+  const std::vector<std::vector<vid_t>> invalid = {
+      {1, n}, {-1}, {4, 7, 4}, {n + 100, 2, 2}};
+  std::vector<std::future<Tensor>> good, bad;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    good.push_back(server.submit(
+        std::vector<vid_t>(requests[r].begin(), requests[r].end())));
+    if (r % 3 == 1) bad.push_back(server.submit(invalid[r / 3]));
+  }
+  ASSERT_EQ(bad.size(), invalid.size());
+  for (auto& f : bad) EXPECT_THROW(f.get(), std::invalid_argument);
+  for (std::size_t r = 0; r < requests.size(); ++r)
+    EXPECT_TRUE(tensors_bit_equal(good[r].get(), ref.outputs[r]))
+        << "request " << r;
+  server.close();
+  EXPECT_EQ(engine.stats().requests,
+            static_cast<std::int64_t>(requests.size()));
 }
 
 TEST(Serve, ServerDrainsPendingOnClose) {

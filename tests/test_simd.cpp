@@ -30,8 +30,11 @@ namespace {
 
 // Spans straddling every tail case of the 64/32/16/8/1 loop structures: the
 // AVX2 peel points (8/16/32) and the AVX-512 masked-tail points (16/32/64),
-// plus 0/1 degenerates and a long non-multiple length.
-const std::int64_t kLens[] = {0, 1, 7, 8, 9, 15, 16, 17, 31, 63, 64, 100};
+// plus 0/1 degenerates and a long non-multiple length. 23, 47, 79 and 129
+// follow each unroll shape of both widths with a maximal tail: 8-lane x2 +
+// 7, 16-lane x2 + 15, 16-lane x4 + 15, and 16-lane x4 twice + 1.
+const std::int64_t kLens[] = {0,  1,  7,  8,  9,  15, 16,  17,
+                              23, 31, 47, 63, 64, 79, 100, 129};
 
 std::vector<float> random_span(std::int64_t n, std::uint64_t seed) {
   fg::support::Rng rng(seed);
@@ -557,32 +560,47 @@ TEST(Simd, TailLanesRaiseNoSpuriousFpFlags) {
   // FE_INVALID (0/0) on one backend only, breaking observable parity for
   // callers that poll fetestexcept. All inputs here are finite and nonzero,
   // so a clean run must leave INVALID/DIVBYZERO clear on every backend.
-  const std::int64_t n = 9;  // forces a tail on every vector width
-  std::vector<float> base(n, 2.0f), x(n, 4.0f), y(n, 8.0f);
-  for (const Isa isa : fg::simd::supported_isas()) {
-    const SpanOps& ops = fg::simd::span_ops(isa);
-    std::feclearexcept(FE_ALL_EXCEPT);
-    auto out = base;
-    for (int r = 0; r < fg::simd::kNumAccum; ++r) {
-      ops.accum[r](out.data(), x.data(), n);
-      for (int o = 0; o < fg::simd::kNumBinOp; ++o) {
-        ops.accum_binop[r][o](out.data(), x.data(), y.data(), n);
-        ops.accum_binop_scalar[r][o](out.data(), x.data(), 2.0f, n);
+  // n = 9 leaves a tail on every width but is narrow for AVX-512 (it runs
+  // the AVX2 code); n = 25 runs the AVX-512 masked tail itself.
+  for (const std::int64_t n : {std::int64_t{9}, std::int64_t{25}}) {
+    std::vector<float> base(n, 2.0f), x(n, 4.0f), y(n, 8.0f);
+    const std::vector<std::int32_t> idx = {0, 0, 0};
+    const std::vector<float> w = {0.5f, 0.25f, 2.0f};
+    for (const Isa isa : fg::simd::supported_isas()) {
+      const SpanOps& ops = fg::simd::span_ops(isa);
+      std::feclearexcept(FE_ALL_EXCEPT);
+      auto out = base;
+      for (int r = 0; r < fg::simd::kNumAccum; ++r) {
+        ops.accum[r](out.data(), x.data(), n);
+        for (int o = 0; o < fg::simd::kNumBinOp; ++o) {
+          ops.accum_binop[r][o](out.data(), x.data(), y.data(), n);
+          ops.accum_binop_scalar[r][o](out.data(), x.data(), 2.0f, n);
+        }
+        for (const int unroll : {1, 2, 4})
+          ops.accum_rows[r](out.data(), x.data(), 0, idx.data(), 3, n,
+                            unroll);
       }
+      ops.scale(out.data(), 0.5f, n);
+      ops.relu(out.data(), n);
+      ops.leaky_relu(out.data(), 0.01f, n);
+      ops.bias_relu(out.data(), y.data(), n);
+      ops.axpy(out.data(), x.data(), 1.5f, n);
+      (void)ops.dot(x.data(), y.data(), n);
+      for (int o = 0; o < fg::simd::kNumBinOp; ++o) {
+        ops.waxpy_binop[o](out.data(), x.data(), y.data(), 0.5f, n);
+        ops.waxpy_binop_scalar[o](out.data(), x.data(), 2.0f, 0.5f, n);
+      }
+      for (const int unroll : {1, 2})
+        ops.waxpy_rows(out.data(), x.data(), 0, idx.data(), w.data(), 3, n,
+                       unroll);
+      std::vector<float> gathered(static_cast<std::size_t>(3 * n));
+      ops.gather_rows(gathered.data(), x.data(), idx.data(), 3, n);
+      (void)ops.hmax(x.data(), n);
+      auto ex = x;
+      (void)ops.exp_scale(ex.data(), -1.0f, n);
+      EXPECT_EQ(std::fetestexcept(FE_INVALID | FE_DIVBYZERO), 0)
+          << fg::simd::isa_name(isa) << " n=" << n;
     }
-    ops.scale(out.data(), 0.5f, n);
-    ops.relu(out.data(), n);
-    ops.axpy(out.data(), x.data(), 1.5f, n);
-    (void)ops.dot(x.data(), y.data(), n);
-    for (int o = 0; o < fg::simd::kNumBinOp; ++o) {
-      ops.waxpy_binop[o](out.data(), x.data(), y.data(), 0.5f, n);
-      ops.waxpy_binop_scalar[o](out.data(), x.data(), 2.0f, 0.5f, n);
-    }
-    (void)ops.hmax(x.data(), n);
-    auto ex = x;
-    (void)ops.exp_scale(ex.data(), -1.0f, n);
-    EXPECT_EQ(std::fetestexcept(FE_INVALID | FE_DIVBYZERO), 0)
-        << fg::simd::isa_name(isa);
   }
 }
 
