@@ -309,7 +309,9 @@ void run_lazy_backward(BackwardState& st, Node& node) {
   grads[static_cast<std::size_t>(st.root)] = node.grad();  // read-only share
 
   // Clone-on-first internal accumulation, mirroring Node::accumulate_grad.
-  // `owned` marks freshly computed tensors safe to take without copying.
+  // `owned` marks tensors safe to take without copying. Later contributions
+  // add over parallel element ranges: still one IEEE add per element.
+  const simd::SpanOps& ops = simd::span_ops();
   auto acc = [&](NodeId j, Tensor g, bool owned) {
     if (!nodes[static_cast<std::size_t>(j)].needs_grad) return;
     Tensor& dst = grads[static_cast<std::size_t>(j)];
@@ -320,7 +322,16 @@ void run_lazy_backward(BackwardState& st, Node& node) {
     FG_CHECK(dst.numel() == g.numel());
     float* d = dst.data();
     const float* s = g.data();
-    for (std::int64_t i = 0; i < dst.numel(); ++i) d[i] += s[i];
+    parallel::parallel_for_ranges(
+        0, dst.numel(), ctx.num_threads, [&](std::int64_t i0, std::int64_t i1) {
+          simd::accum(ops, simd::Accum::kSum, d + i0, s + i0, i1 - i0);
+        });
+  };
+  // A pass-through vjp hands node i's gradient on to its last consumer j:
+  // the slot is dead once i's vjp has run. The root's gradient is the
+  // caller's read-only share, so acc clones it instead.
+  auto pass_on = [&](NodeId j, NodeId i) {
+    acc(j, std::move(grads[static_cast<std::size_t>(i)]), i != st.root);
   };
 
   // The value a vjp reads: leaves from their Var, everything else from the
@@ -357,14 +368,13 @@ void run_lazy_backward(BackwardState& st, Node& node) {
           charge_dense(ctx, 2.0 * m * k * nn, 0.0);
         }
         if (in_needs(1)) {
-          Tensor at = tensor::transpose(val_of(in(0)));
-          acc(in(1), tensor::matmul(at, g, ctx.num_threads), true);
+          acc(in(1), tensor::matmul_tn(val_of(in(0)), g, ctx.num_threads),
+              true);
           charge_dense(ctx, 2.0 * m * k * nn, 0.0);
         }
         break;
       }
       case LazyOp::kAddBias: {
-        acc(in(0), g, false);
         if (in_needs(1)) {
           const std::int64_t c = g.shape(1);
           Tensor db = Tensor::zeros({c});
@@ -374,6 +384,7 @@ void run_lazy_backward(BackwardState& st, Node& node) {
           }
           acc(in(1), std::move(db), true);
         }
+        pass_on(in(0), i);  // after db: g is moved from here on
         break;
       }
       case LazyOp::kRelu:
@@ -387,8 +398,9 @@ void run_lazy_backward(BackwardState& st, Node& node) {
         acc(in(0), tensor::leaky_relu_backward(g, val_of(i), nd.scalar), true);
         break;
       case LazyOp::kAdd:
+        // in(0) == in(1) still sums two copies: the first acc clones.
         acc(in(0), g, false);
-        acc(in(1), g, false);
+        pass_on(in(1), i);
         break;
       case LazyOp::kScale:
         acc(in(0), tensor::scale(g, nd.scalar), true);

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <vector>
 
+#include "core/simd.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace featgraph::tensor {
@@ -14,6 +18,21 @@ void check_matrix(const Tensor& t) {
   FG_CHECK_MSG(t.rank() == 2, "operation requires a rank-2 tensor");
 }
 
+// waxpy_rows' `unroll` hint: ask for the widest register blocking (each
+// backend clamps it; results do not depend on it).
+constexpr int kUnroll = 4;
+// matmul_tn streams A and B in panels of this many input rows: one panel of
+// B (and a thread's slice of A) stays cache-resident across its output rows.
+constexpr std::int64_t kPanelRows = 256;
+
+std::vector<std::int32_t> iota_rows(std::int64_t count) {
+  FG_CHECK_MSG(count <= std::numeric_limits<std::int32_t>::max(),
+               "GEMM reduction dimension exceeds the row-index range");
+  std::vector<std::int32_t> idx(static_cast<std::size_t>(count));
+  std::iota(idx.begin(), idx.end(), 0);
+  return idx;
+}
+
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b, int threads) {
@@ -21,48 +40,54 @@ Tensor matmul(const Tensor& a, const Tensor& b, int threads) {
   check_matrix(b);
   const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
   FG_CHECK_MSG(b.shape(0) == k, "matmul inner dimensions must agree");
-  Tensor c = Tensor::zeros({m, n});
-
-  // i-k-j loop order: the j-inner loop is a contiguous axpy that the
-  // compiler vectorizes; blocking over k keeps the B panel in cache.
-  constexpr std::int64_t kBlock = 64;
-  auto row_block = [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t kk = 0; kk < k; kk += kBlock) {
-      const std::int64_t k_end = std::min(kk + kBlock, k);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float* ai = a.row(i);
-        float* ci = c.row(i);
-        for (std::int64_t p = kk; p < k_end; ++p) {
-          const float aip = ai[p];
-          const float* bp = b.row(p);
-          for (std::int64_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
+  Tensor c({m, n});
+  const std::vector<std::int32_t> idx = iota_rows(k);
+  const simd::SpanOps& ops = simd::span_ops_for_width(n);
+  parallel::parallel_for_ranges(
+      0, m, threads, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          ops.fill(c.row(i), 0.0f, n);
+          ops.waxpy_rows(c.row(i), b.data(), n, idx.data(), a.row(i), k, n,
+                         kUnroll);
         }
-      }
-    }
-  };
-  parallel::parallel_for_ranges(0, m, threads, row_block);
+      });
   return c;
 }
 
 Tensor matmul_transposed(const Tensor& a, const Tensor& b_t, int threads) {
-  check_matrix(a);
   check_matrix(b_t);
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b_t.shape(0);
-  FG_CHECK_MSG(b_t.shape(1) == k, "matmul_transposed inner dims must agree");
-  Tensor c({m, n});
-  auto row_block = [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* ai = a.row(i);
-      float* ci = c.row(i);
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* bj = b_t.row(j);
-        float acc = 0.0f;
-        for (std::int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-        ci[j] = acc;
-      }
-    }
-  };
-  parallel::parallel_for_ranges(0, m, threads, row_block);
+  return matmul(a, transpose(b_t), threads);
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b, int threads) {
+  check_matrix(a);
+  check_matrix(b);
+  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
+  FG_CHECK_MSG(b.shape(0) == m, "matmul_tn row counts must agree");
+  Tensor c({k, n});
+  const std::vector<std::int32_t> idx = iota_rows(std::min(m, kPanelRows));
+  const simd::SpanOps& ops = simd::span_ops_for_width(n);
+  // Threads own output rows [r0, r1) (columns of A). Every thread walks the
+  // input rows in ascending panels, so each C element folds p in order.
+  parallel::parallel_for_ranges(
+      0, k, threads, [&](std::int64_t r0, std::int64_t r1) {
+        // This thread's columns of one A panel, transposed: row r - r0 holds
+        // the weights A[p0 + q, r] that fold B's panel rows into C's row r.
+        std::vector<float> at(static_cast<std::size_t>((r1 - r0) * kPanelRows));
+        for (std::int64_t r = r0; r < r1; ++r) ops.fill(c.row(r), 0.0f, n);
+        for (std::int64_t p0 = 0; p0 < m; p0 += kPanelRows) {
+          const std::int64_t rows = std::min(kPanelRows, m - p0);
+          for (std::int64_t q = 0; q < rows; ++q) {
+            const float* ap = a.row(p0 + q);
+            for (std::int64_t r = r0; r < r1; ++r)
+              at.data()[(r - r0) * kPanelRows + q] = ap[r];
+          }
+          for (std::int64_t r = r0; r < r1; ++r)
+            ops.waxpy_rows(c.row(r), b.row(p0), n, idx.data(),
+                           at.data() + (r - r0) * kPanelRows, rows, n,
+                           kUnroll);
+        }
+      });
   return c;
 }
 

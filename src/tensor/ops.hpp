@@ -10,12 +10,23 @@
 
 namespace featgraph::tensor {
 
-/// C = A(m x k) * B(k x n), blocked over k for cache reuse; `threads` > 1
-/// parallelizes over row blocks of A.
+// GEMMs are waxpy_rows folds on the span engine (core/simd.hpp). Rounding
+// contract: each output element is the naive triple loop's chain — start at
+// +0, then one IEEE multiply and one add per reduction step p, p ascending,
+// no FMA. Threads split output rows only, never the reduction, so results
+// are bit-identical on every SIMD backend at every thread count.
+
+/// C = A(m x k) * B(k x n); `threads` > 1 splits the rows of C.
 Tensor matmul(const Tensor& a, const Tensor& b, int threads = 1);
 
-/// C = A(m x k) * B^T where B is (n x k).
+/// C = A(m x k) * B^T where B is (n x k), as matmul(a, transpose(b_t)):
+/// meant for a small B such as a weight.
 Tensor matmul_transposed(const Tensor& a, const Tensor& b_t, int threads = 1);
+
+/// C = A^T * B, (k x n), for A (m x k) and B (m x n), without transposing A:
+/// a linear layer's weight gradient, where m is the large row count.
+/// Threads split C's rows and stream A and B in ascending row panels.
+Tensor matmul_tn(const Tensor& a, const Tensor& b, int threads = 1);
 
 /// Elementwise helpers; all allocate a fresh result.
 Tensor add(const Tensor& a, const Tensor& b);

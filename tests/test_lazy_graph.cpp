@@ -5,7 +5,10 @@
 
 #include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/simd.hpp"
 #include "graph/generators.hpp"
 #include "minidgl/lazy_graph.hpp"
 #include "minidgl/modules.hpp"
@@ -353,15 +356,14 @@ TEST(LazyIsaDifferential, MatmulEpilogueMatchesEagerChain) {
   }
 }
 
-// --- whole-model gradients: fused plan vs eager plan ------------------------
+// --- whole-model gradients: fused vs eager plan, and across thread counts --
 
 namespace {
 
-/// Trains one step of `kind` twice — fused and eager plans — and expects
-/// bit-identical loss and parameter gradients. Both runs derive backward
-/// from the same recorded DAG; fusion must be execution-invisible.
-void expect_model_grads_bit_identical(const std::string& kind) {
-  Graph gr(fg::graph::gen_uniform(40, 4.0, 51));
+/// One training step of `kind` on `gr` under `ctx`: returns the loss and
+/// appends a copy of every parameter gradient to `grads`.
+float train_step_grads(const std::string& kind, const Graph& gr,
+                       ExecContext ctx, std::vector<Tensor>* grads) {
   const std::int64_t d = 12, hidden = 10, classes = 4;
   const Tensor features = Tensor::randn({gr.num_vertices(), d}, 52);
   std::vector<std::int32_t> labels(
@@ -371,29 +373,63 @@ void expect_model_grads_bit_identical(const std::string& kind) {
   std::vector<std::int64_t> rows;
   for (std::int64_t r = 0; r < gr.num_vertices(); r += 2) rows.push_back(r);
 
-  auto run_once = [&](bool fuse, std::vector<Tensor>* grads) {
-    ExecContext ctx;
-    ctx.fuse_epilogues = fuse;
-    Model model(kind, d, hidden, classes, 77);
-    Var x = make_leaf(features, false, "x");
-    Var lp = model.forward(ctx, gr, x);
-    Var loss = fg::minidgl::nll_loss(ctx, lp, labels, rows);
-    backward(loss);
-    for (const Var& p : model.parameters()) {
-      EXPECT_TRUE(p->has_grad());
-      grads->push_back(p->grad().clone());
-    }
-    return loss->value().at(0);
-  };
+  Model model(kind, d, hidden, classes, 77);
+  Var x = make_leaf(features, false, "x");
+  Var lp = model.forward(ctx, gr, x);
+  Var loss = fg::minidgl::nll_loss(ctx, lp, labels, rows);
+  backward(loss);
+  for (const Var& p : model.parameters()) {
+    EXPECT_TRUE(p->has_grad());
+    grads->push_back(p->grad().clone());
+  }
+  return loss->value().at(0);
+}
 
+void expect_same_step(float loss_a, const std::vector<Tensor>& grads_a,
+                      float loss_b, const std::vector<Tensor>& grads_b,
+                      const std::string& what) {
+  EXPECT_EQ(std::memcmp(&loss_a, &loss_b, sizeof(float)), 0) << what;
+  ASSERT_EQ(grads_a.size(), grads_b.size());
+  for (std::size_t i = 0; i < grads_a.size(); ++i)
+    EXPECT_TRUE(bit_equal(grads_a[i], grads_b[i])) << what << " param " << i;
+}
+
+/// Trains one step of `kind` twice — fused and eager plans — and expects
+/// bit-identical loss and parameter gradients. Both runs derive backward
+/// from the same recorded DAG; fusion must be execution-invisible.
+void expect_model_grads_bit_identical(const std::string& kind) {
+  Graph gr(fg::graph::gen_uniform(40, 4.0, 51));
   std::vector<Tensor> fused_grads, eager_grads;
-  const float fused_loss = run_once(true, &fused_grads);
-  const float eager_loss = run_once(false, &eager_grads);
-  EXPECT_EQ(std::memcmp(&fused_loss, &eager_loss, sizeof(float)), 0) << kind;
-  ASSERT_EQ(fused_grads.size(), eager_grads.size());
-  for (std::size_t i = 0; i < fused_grads.size(); ++i) {
-    EXPECT_TRUE(bit_equal(fused_grads[i], eager_grads[i]))
-        << kind << " param " << i;
+  ExecContext fused, eager;
+  fused.fuse_epilogues = true;
+  eager.fuse_epilogues = false;
+  const float fused_loss = train_step_grads(kind, gr, fused, &fused_grads);
+  const float eager_loss = train_step_grads(kind, gr, eager, &eager_grads);
+  expect_same_step(fused_loss, fused_grads, eager_loss, eager_grads, kind);
+}
+
+/// Trains one step of `kind` at 1, 4 and 7 threads under every ISA and
+/// expects bit-identical loss and parameter gradients. 600 vertices make the
+/// weight gradients' matmul_tn cross its 256-row panel edges, and 7 threads
+/// leave lanes with uneven (or empty) output-row ranges.
+void expect_model_grads_thread_invariant(const std::string& kind) {
+  Graph gr(fg::graph::gen_uniform(600, 4.0, 55));
+  for (const Isa isa : fg::simd::supported_isas()) {
+    fg::simd::ScopedIsa pin(isa);
+    auto step_at = [&](int threads, std::vector<Tensor>* grads) {
+      ExecContext ctx;
+      ctx.num_threads = threads;
+      return train_step_grads(kind, gr, ctx, grads);
+    };
+    std::vector<Tensor> ref_grads;
+    const float ref_loss = step_at(1, &ref_grads);
+    for (const int threads : {4, 7}) {
+      std::vector<Tensor> grads;
+      const float loss = step_at(threads, &grads);
+      expect_same_step(ref_loss, ref_grads, loss, grads,
+                       kind + " " + fg::simd::isa_name(isa) +
+                           " threads=" + std::to_string(threads));
+    }
   }
 }
 
@@ -413,6 +449,14 @@ TEST(LazyModelGrads, SageMaxFusedPlanBitIdenticalToEagerPlan) {
 
 TEST(LazyModelGrads, GatFusedPlanBitIdenticalToEagerPlan) {
   expect_model_grads_bit_identical("gat");
+}
+
+TEST(LazyModelGrads, GcnGradsBitIdenticalAcrossThreadCountsPerIsa) {
+  expect_model_grads_thread_invariant("gcn");
+}
+
+TEST(LazyModelGrads, GatGradsBitIdenticalAcrossThreadCountsPerIsa) {
+  expect_model_grads_thread_invariant("gat");
 }
 
 TEST(LazyModelGrads, BufferPlanOffIsAlsoBitIdentical) {
@@ -469,6 +513,42 @@ TEST(LazyCopies, CompiledForwardAllocatesFewerBuffersThanNaive) {
   EXPECT_LE(compiled + 3, naive)
       << "compiled=" << compiled << " naive=" << naive;
   EXPECT_LE(compiled, 5) << "compiled=" << compiled;
+}
+
+TEST(LazyCopies, BackwardHandsPassThroughGradientsOnWithoutCopying) {
+  // relu(x + b): backward allocates the seed, relu's masked gradient and db.
+  // add_bias is not the root, so its gradient (relu's) goes to x as is.
+  ExecContext ctx;
+  Var x = make_leaf(Tensor::randn({64, 16}, 65), true, "x");
+  Var b = make_leaf(Tensor::randn({16}, 66), true, "b");
+  LazyGraph g;
+  Var y = g.run(ctx, g.relu(g.add_bias(g.leaf(x), g.leaf(b))));
+  const std::int64_t before = fg::tensor::allocation_count();
+  backward(y);
+  EXPECT_EQ(fg::tensor::allocation_count() - before, 3);
+  ASSERT_TRUE(x->has_grad() && b->has_grad());
+}
+
+TEST(LazyCopies, RootPassThroughGradientIsCopiedNotAdopted) {
+  // The root's gradient belongs to the caller: add_bias / add at the root
+  // must hand their inputs copies, never the root's own buffer.
+  ExecContext ctx;
+  Var x = make_leaf(Tensor::randn({8, 4}, 67), true, "x");
+  Var b = make_leaf(Tensor::randn({4}, 68), true, "b");
+  Var y = fg::minidgl::add_bias(ctx, x, b);
+  backward(y);
+  ASSERT_TRUE(x->has_grad() && y->has_grad());
+  EXPECT_NE(x->grad().data(), y->grad().data());
+
+  Var w = make_leaf(Tensor::randn({8, 4}, 69), true, "w");
+  Var z = fg::minidgl::add(ctx, w, w);
+  backward(z);
+  ASSERT_TRUE(w->has_grad() && z->has_grad());
+  EXPECT_NE(w->grad().data(), z->grad().data());
+  for (std::int64_t i = 0; i < z->grad().numel(); ++i) {
+    EXPECT_EQ(z->grad().at(i), 1.0f);
+    EXPECT_EQ(w->grad().at(i), 2.0f);
+  }
 }
 
 // --- executor accounting ----------------------------------------------------

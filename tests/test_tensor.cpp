@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/simd.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fg = featgraph;
+using fg::simd::Isa;
 using fg::tensor::Tensor;
 
 TEST(Tensor, ShapeAndSizeBookkeeping) {
@@ -68,6 +71,12 @@ TEST(Tensor, RowPointerAddressesRowMajorData) {
 
 namespace {
 
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
   Tensor c = Tensor::zeros({m, n});
@@ -82,37 +91,70 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 
 }  // namespace
 
-struct MatmulCase {
+// The GEMM rounding contract (tensor/ops.hpp): each output element is the
+// naive loop's +0-seeded, ascending-p mul-then-add chain, so every backend
+// at every thread count must match naive_matmul byte for byte.
+struct GemmShape {
   std::int64_t m, k, n;
-  int threads;
 };
 
-class MatmulTest : public ::testing::TestWithParam<MatmulCase> {};
+class MatmulTest : public ::testing::TestWithParam<GemmShape> {
+ protected:
+  /// Runs `gemm(threads)` under every supported ISA at several thread
+  /// counts (7 leaves lanes with uneven or empty row ranges).
+  template <class Gemm>
+  void expect_bitwise_for_all_configs(const Tensor& want, Gemm gemm) {
+    for (const Isa isa : fg::simd::supported_isas()) {
+      fg::simd::ScopedIsa pin(isa);
+      for (const int threads : {1, 2, 4, 7}) {
+        const Tensor got = gemm(threads);
+        EXPECT_EQ(got.shape(), want.shape());
+        EXPECT_TRUE(bit_equal(got, want))
+            << fg::simd::isa_name(isa) << " threads=" << threads;
+      }
+    }
+  }
+};
 
 TEST_P(MatmulTest, MatchesNaiveTripleLoop) {
   const auto p = GetParam();
-  Tensor a = Tensor::randn({p.m, p.k}, 1);
-  Tensor b = Tensor::randn({p.k, p.n}, 2);
-  Tensor got = fg::tensor::matmul(a, b, p.threads);
-  Tensor want = naive_matmul(a, b);
-  EXPECT_LT(fg::tensor::max_abs_diff(got, want), 1e-3f);
+  const Tensor a = Tensor::randn({p.m, p.k}, 1);
+  const Tensor b = Tensor::randn({p.k, p.n}, 2);
+  expect_bitwise_for_all_configs(naive_matmul(a, b), [&](int threads) {
+    return fg::tensor::matmul(a, b, threads);
+  });
+}
+
+TEST_P(MatmulTest, TransposedMatchesNaiveOfTranspose) {
+  const auto p = GetParam();
+  const Tensor a = Tensor::randn({p.m, p.k}, 3);
+  const Tensor b_t = Tensor::randn({p.n, p.k}, 4);
+  expect_bitwise_for_all_configs(
+      naive_matmul(a, fg::tensor::transpose(b_t)), [&](int threads) {
+        return fg::tensor::matmul_transposed(a, b_t, threads);
+      });
+}
+
+TEST_P(MatmulTest, TnMatchesNaiveOfTranspose) {
+  // Here m is the reduction (input-row) axis: 255/256/257/513 rows cross
+  // matmul_tn's panel edges.
+  const auto p = GetParam();
+  const Tensor a = Tensor::randn({p.m, p.k}, 5);
+  const Tensor b = Tensor::randn({p.m, p.n}, 6);
+  expect_bitwise_for_all_configs(
+      naive_matmul(fg::tensor::transpose(a), b),
+      [&](int threads) { return fg::tensor::matmul_tn(a, b, threads); });
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatmulTest,
-    ::testing::Values(MatmulCase{1, 1, 1, 1}, MatmulCase{3, 5, 7, 1},
-                      MatmulCase{16, 16, 16, 1}, MatmulCase{33, 65, 17, 1},
-                      MatmulCase{64, 100, 32, 2}, MatmulCase{128, 64, 96, 2},
-                      MatmulCase{70, 130, 50, 4}));
-
-TEST(Ops, MatmulTransposedMatchesMatmul) {
-  Tensor a = Tensor::randn({20, 30}, 3);
-  Tensor b = Tensor::randn({30, 25}, 4);
-  Tensor bt = fg::tensor::transpose(b);
-  Tensor got = fg::tensor::matmul_transposed(a, bt, 2);
-  Tensor want = fg::tensor::matmul(a, b);
-  EXPECT_LT(fg::tensor::max_abs_diff(got, want), 1e-3f);
-}
+    ::testing::Values(GemmShape{0, 5, 7}, GemmShape{6, 0, 9},
+                      GemmShape{4, 3, 0}, GemmShape{1, 1, 1},
+                      GemmShape{3, 5, 7}, GemmShape{16, 16, 16},
+                      GemmShape{33, 65, 17}, GemmShape{64, 100, 32},
+                      GemmShape{128, 64, 96}, GemmShape{70, 130, 50},
+                      GemmShape{255, 9, 33}, GemmShape{256, 12, 16},
+                      GemmShape{257, 20, 31}, GemmShape{513, 17, 40}));
 
 TEST(Ops, ElementwiseAddSubMul) {
   Tensor a = Tensor::full({2, 3}, 4.0f);
