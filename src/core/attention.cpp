@@ -220,13 +220,12 @@ void softmax_rows(const simd::SpanOps& ops, const graph::Csr& adj,
 
 /// Rows [r0, r1): the fully fused pass — softmax, then the weighted
 /// aggregation folds alpha_e * MSG into the still-hot output row,
-/// feature-tiled innermost. Interprets the lowered Schedule-IR plan: row
-/// chunking (a legal no-op here — each row's whole feature sweep already
-/// happens in one visit, so the chunk loop only re-spells the row loop) and
-/// the register-blocked weighted fold for functors with the row-block
-/// protocol. The softmax scratch `buf` keeps row v's divided alphas
-/// CSR-position contiguous at [0, deg) — exactly the weights array the
-/// blocked fold consumes.
+/// feature-tiled innermost. Runs the lowered plan's feature tile and the
+/// register-blocked weighted fold for functors with the row-block protocol;
+/// a row chunk needs no loop here, because each row's whole feature sweep
+/// already happens in one visit. The softmax scratch `buf` keeps row v's
+/// divided alphas CSR-position contiguous at [0, deg) — exactly the weights
+/// array the blocked fold consumes.
 template <class LogitFn, class WMsg>
 void fused_rows(const simd::SpanOps& ops, const graph::Csr& adj,
                 std::int64_t r0, std::int64_t r1, const LogitFn& logit,
@@ -235,33 +234,27 @@ void fused_rows(const simd::SpanOps& ops, const graph::Csr& adj,
   const std::int64_t* indptr = adj.indptr.data();
   const vid_t* indices = adj.indices.data();
   const eid_t* edge_ids = adj.edge_ids.data();
-  const std::int64_t tile =
-      std::max<std::int64_t>(plan.tile_for(d_out, -1), 1);
-  const std::int64_t chunk =
-      plan.row_chunk > 0 ? plan.row_chunk : std::max<std::int64_t>(r1 - r0, 1);
+  const std::int64_t tile = plan.tile_for(d_out);
   thread_local std::vector<float> buf;
-  for (std::int64_t c0 = r0; c0 < r1; c0 += chunk) {
-    const std::int64_t c1 = std::min(c0 + chunk, r1);
-    for (std::int64_t v = c0; v < c1; ++v) {
-      float* out_row = out + v * d_out;
-      ops.fill(out_row, 0.0f, d_out);
-      const std::int64_t lo = indptr[v], hi = indptr[v + 1];
-      if (lo == hi) continue;
-      row_softmax(ops, indptr, indices, edge_ids, v, logit, buf, alpha);
-      for (std::int64_t j0 = 0; j0 < d_out; j0 += tile) {
-        const std::int64_t j1 = std::min(j0 + tile, d_out);
-        if constexpr (HasWeightedRowBlock<WMsg>::value) {
-          if (plan.register_block) {
-            wmsg.apply_rows_weighted(ops, indices + lo, hi - lo, buf.data(),
-                                     out_row, j0, j1, plan.unroll);
-            continue;
-          }
+  for (std::int64_t v = r0; v < r1; ++v) {
+    float* out_row = out + v * d_out;
+    ops.fill(out_row, 0.0f, d_out);
+    const std::int64_t lo = indptr[v], hi = indptr[v + 1];
+    if (lo == hi) continue;
+    row_softmax(ops, indptr, indices, edge_ids, v, logit, buf, alpha);
+    for (std::int64_t j0 = 0; j0 < d_out; j0 += tile) {
+      const std::int64_t j1 = std::min(j0 + tile, d_out);
+      if constexpr (HasWeightedRowBlock<WMsg>::value) {
+        if (plan.register_block) {
+          wmsg.apply_rows_weighted(ops, indices + lo, hi - lo, buf.data(),
+                                   out_row, j0, j1, plan.unroll);
+          continue;
         }
-        for (std::int64_t i = lo; i < hi; ++i)
-          wmsg.template apply<SumReducer>(ops, indices[i], edge_ids[i],
-                                          static_cast<vid_t>(v), out_row, j0,
-                                          j1);
       }
+      for (std::int64_t i = lo; i < hi; ++i)
+        wmsg.template apply<SumReducer>(ops, indices[i], edge_ids[i],
+                                        static_cast<vid_t>(v), out_row, j0,
+                                        j1);
     }
   }
 }
@@ -317,13 +310,14 @@ void launch(const graph::Csr& adj, const LogitFn& logit, const WMsg& wmsg,
   }
   // Partitioned two-phase launch: alpha first (the softmax needs the whole
   // row, which partition segments split), then the d-wide aggregation as a
-  // regular partitioned SpMM over the weighted functor. alpha values match
-  // the fused pass bit-for-bit (same per-row order); only the aggregation's
-  // edge-visit order reassociates, exactly like partitioned SpMM.
+  // regular partitioned SpMM over the weighted functor — the same nest and
+  // the same cached partitioning SpMM runs. alpha values match the fused
+  // pass bit-for-bit (same per-row order); only the aggregation's edge-visit
+  // order reassociates, exactly like partitioned SpMM.
   row_sweep([&](std::int64_t r0, std::int64_t r1) {
     softmax_rows(span, adj, r0, r1, logit, alpha);
   });
-  generalized_spmm<WMsg, SumReducer>(adj, parts, wmsg, out, d_out, sched);
+  generalized_spmm<WMsg, SumReducer>(adj, wmsg, out, d_out, sched);
 }
 
 const Tensor& require(const Tensor* t, const char* what) {

@@ -59,8 +59,8 @@ struct CpuSpmmSchedule {
   /// and non-empty it is AUTHORITATIVE for every loop-nest decision —
   /// partitions, tiling, chunking, register blocking, row split — except
   /// num_threads, which stays a flat knob. When null the flat knobs above
-  /// are the schedule (they lower to the equivalent default program), so
-  /// every pre-IR consumer keeps its exact behavior.
+  /// are the schedule: they lower to the same plan their default program
+  /// does, and the kernel's one loop nest runs either.
   std::shared_ptr<const ScheduleIr> ir;
 
   static CpuSpmmSchedule single_thread_default() { return {}; }

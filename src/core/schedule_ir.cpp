@@ -31,18 +31,16 @@ std::int64_t required_multiple(simd::Isa isa, std::int64_t width) {
 }
 
 std::string check_tile_width(std::int64_t w, std::int64_t d_out,
-                             simd::Isa isa, const char* what) {
+                             simd::Isa isa) {
   if (w < 1)
-    return std::string(what) +
-           format(" width must be >= 1, got %lld", static_cast<long long>(w));
+    return format("tile width must be >= 1, got %lld",
+                  static_cast<long long>(w));
   if (w > d_out)
-    return std::string(what) + format(" width %lld exceeds feature width %lld",
-                                      static_cast<long long>(w),
-                                      static_cast<long long>(d_out));
+    return format("tile width %lld exceeds feature width %lld",
+                  static_cast<long long>(w), static_cast<long long>(d_out));
   const std::int64_t mult = required_multiple(isa, w);
   if (w % mult != 0)
-    return std::string(what) +
-           format(" width %lld is not a multiple of the %lld-lane vector "
+    return format("tile width %lld is not a multiple of the %lld-lane vector "
                   "width of the executing backend",
                   static_cast<long long>(w), static_cast<long long>(mult));
   return "";
@@ -62,8 +60,6 @@ const char* ir_transform_name(IrTransformKind kind) {
       return "split_nnz";
     case IrTransformKind::kPartition:
       return "partition";
-    case IrTransformKind::kOverridePartition:
-      return "override_partition";
     case IrTransformKind::kShardRows:
       return "shard";
     case IrTransformKind::kStealGrain:
@@ -78,19 +74,12 @@ std::string ScheduleIr::describe() const {
     if (!s.empty()) s += '.';
     s += ir_transform_name(t.kind);
     char buf[64];
-    switch (t.kind) {
-      case IrTransformKind::kSplitNnz:
-        std::snprintf(buf, sizeof(buf), "(%s)",
-                      t.balance == LoadBalance::kNnzBalanced ? "nnz" : "rows");
-        break;
-      case IrTransformKind::kOverridePartition:
-        std::snprintf(buf, sizeof(buf), "(%d, %lld)", t.part_index,
-                      static_cast<long long>(t.factor));
-        break;
-      default:
-        std::snprintf(buf, sizeof(buf), "(%lld)",
-                      static_cast<long long>(t.factor));
-        break;
+    if (t.kind == IrTransformKind::kSplitNnz) {
+      std::snprintf(buf, sizeof(buf), "(%s)",
+                    t.balance == LoadBalance::kNnzBalanced ? "nnz" : "rows");
+    } else {
+      std::snprintf(buf, sizeof(buf), "(%lld)",
+                    static_cast<long long>(t.factor));
     }
     s += buf;
   }
@@ -114,15 +103,11 @@ std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
   bool seen[kNumIrTransformKinds] = {};
   bool has_tile = false;
   bool has_shard = false;
-  std::int64_t partitions = 0;
-  std::vector<int> override_indices;
   for (const IrTransform& t : ir.transforms()) {
     const int k = static_cast<int>(t.kind);
-    if (t.kind != IrTransformKind::kOverridePartition) {
-      if (seen[k])
-        return std::string("duplicate transform: ") + ir_transform_name(t.kind);
-      seen[k] = true;
-    }
+    if (seen[k])
+      return std::string("duplicate transform: ") + ir_transform_name(t.kind);
+    seen[k] = true;
     switch (t.kind) {
       case IrTransformKind::kChunkRows:
         if (t.factor < 1)
@@ -134,10 +119,7 @@ std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
                         static_cast<long long>(num_rows));
         break;
       case IrTransformKind::kTileFeat: {
-        if (t.factor < 1)
-          return format("tile width must be >= 1, got %lld",
-                        static_cast<long long>(t.factor));
-        const std::string err = check_tile_width(t.factor, d_out, isa, "tile");
+        const std::string err = check_tile_width(t.factor, d_out, isa);
         if (!err.empty()) return err;
         has_tile = true;
         break;
@@ -153,27 +135,7 @@ std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
         if (t.factor < 1)
           return format("partition count must be >= 1, got %lld",
                         static_cast<long long>(t.factor));
-        partitions = t.factor;
         break;
-      case IrTransformKind::kOverridePartition: {
-        if (t.part_index < 0)
-          return format("override_partition index must be >= 0, got %lld",
-                        t.part_index);
-        for (const int seen_idx : override_indices) {
-          if (seen_idx == t.part_index)
-            return format(
-                "duplicate transform: override_partition for partition %lld",
-                t.part_index);
-        }
-        override_indices.push_back(t.part_index);
-        if (t.factor < 1)
-          return format("override_partition width must be >= 1, got %lld",
-                        static_cast<long long>(t.factor));
-        const std::string err =
-            check_tile_width(t.factor, d_out, isa, "override_partition");
-        if (!err.empty()) return err;
-        break;
-      }
       case IrTransformKind::kShardRows:
         // A shard factor above the row count is legal — execution clamps it
         // (effective_shards) so one program serves every block shape a
@@ -195,14 +157,6 @@ std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
     return "unroll requires a feature tile (add tile(W) first)";
   if (seen[static_cast<int>(IrTransformKind::kStealGrain)] && !has_shard)
     return "steal_grain requires a shard transform (add shard(S) first)";
-  for (const int idx : override_indices) {
-    if (partitions == 0)
-      return "override_partition requires a partition transform";
-    if (idx >= partitions)
-      return format(
-          "override_partition index %lld is out of range for partition(%lld)",
-          idx, static_cast<long long>(partitions));
-  }
   return "";
 }
 
@@ -277,9 +231,6 @@ LoweredSpmmPlan lower_spmm_schedule(const CpuSpmmSchedule& sched,
       case IrTransformKind::kPartition:
         plan.num_partitions = static_cast<int>(t.factor);
         break;
-      case IrTransformKind::kOverridePartition:
-        plan.overrides.emplace_back(t.part_index, t.factor);
-        break;
       case IrTransformKind::kShardRows:
         plan.num_shards = static_cast<int>(t.factor);
         break;
@@ -318,17 +269,6 @@ LoweredSddmmPlan lower_sddmm_schedule(const CpuSddmmSchedule& sched,
   return plan;
 }
 
-int schedule_num_partitions(const CpuSpmmSchedule& sched) {
-  if (sched.ir != nullptr && !sched.ir->empty()) {
-    for (const IrTransform& t : sched.ir->transforms()) {
-      if (t.kind == IrTransformKind::kPartition)
-        return static_cast<int>(t.factor);
-    }
-    return 1;
-  }
-  return sched.num_partitions;
-}
-
 ScheduleIr default_spmm_program(const CpuSpmmSchedule& sched) {
   ScheduleIr ir;
   if (sched.num_partitions > 1) ir.partition(sched.num_partitions);
@@ -353,7 +293,6 @@ std::uint64_t schedule_program_hash(const CpuSpmmSchedule& sched) {
     mix(static_cast<std::uint64_t>(t.kind) + 1);
     mix(static_cast<std::uint64_t>(t.factor));
     mix(static_cast<std::uint64_t>(t.balance));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(t.part_index)));
   }
   return h;
 }

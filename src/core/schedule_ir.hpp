@@ -6,10 +6,11 @@
 // UNROLL_FACTOR — the SNIPPETS.md exemplar).
 //
 // The IR is DECLARATIVE and cheap: a ScheduleIr is a short transform list a
-// tuner composes; kernels never walk it per edge. At launch the list is
-// LOWERED once into a LoweredSpmmPlan / LoweredSddmmPlan — a plain struct of
-// hoisted decisions, exactly like the SpanOps table dispatch — and the
-// kernel templates interpret the plan with branch-free inner loops.
+// tuner composes; kernels never walk it per edge. At launch the list (or the
+// flat knobs, when no program is attached) is LOWERED once into a
+// LoweredSpmmPlan / LoweredSddmmPlan — a plain struct of hoisted decisions,
+// exactly like the SpanOps table dispatch — and the kernel template's one
+// loop nest (spmm_kernels.hpp) runs the plan with branch-free inner loops.
 //
 // Transforms (SpMM / fused attention):
 //   chunk(C)                 — process destination rows in chunks of C per
@@ -21,8 +22,8 @@
 //                              narrow-span reroute threshold), so the AVX2
 //                              and AVX-512 tuner legs pick different
 //                              winners. tile(W) alone is plain feature
-//                              tiling — the identical code path the flat
-//                              feat_tile knob runs.
+//                              tiling — the same plan the flat feat_tile
+//                              knob lowers to.
 //   unroll(U)                — register-block the tiled feature loop: the
 //                              output tile stays in vector registers across
 //                              a row's whole edge group (one load + one
@@ -32,9 +33,6 @@
 //                              across threads (subsumes the flat
 //                              load_balance knob).
 //   partition(P)             — 1D source partitioning (the template half).
-//   override_partition(i, W) — per-partition feature-tile override: segment
-//                              i of a partitioned launch runs tile width W
-//                              instead of the program's default tile.
 //   shard(S)                 — shard-parallel row sweep: destination rows
 //                              split into S nnz-balanced shards drained with
 //                              cross-shard work stealing (parallel/
@@ -46,6 +44,12 @@
 //                              cursors (locality vs balance). Requires
 //                              shard().
 //
+// Loop order is derived, never set: the plan runs feature tiles outermost
+// (Fig. 6b — one tile of source rows stays cached across the traversal)
+// unless the program asks for chunk() or unroll(), whose per-thread row
+// blocking only pays with the tiles nested inside each row chunk
+// (LoweredSpmmPlan::tiles_outermost).
+//
 // Legality is checked by validate_spmm_ir / validate_sddmm_ir, which return
 // a human-readable error string ("" = legal) so tuners can filter candidate
 // programs and tests can assert on the message; lowering FG_CHECKs the same
@@ -54,22 +58,21 @@
 // Bit-identity contract: every legal SpMM program produces output
 // bit-for-bit identical to its flat-knob spelling on every backend, and
 // every program WITHOUT a partition transform is additionally bit-identical
-// to the default schedule. chunk/tile/unroll/split_nnz never change the
-// per-(row, element) edge accumulation order, and the register-blocked
-// unroll path folds the SAME sequential per-element combine chain in the
-// SAME edge order — unroll groups vectors across the feature axis, never
-// across edges, and no FMA contraction is introduced (simd.hpp's
-// accum_rows/waxpy_rows contract). partition(P) regroups each destination
-// row's in-edges by source bucket — the same intentional fold reorder the
-// flat num_partitions knob has always performed (Sec. IV-A) — so a
-// partitioned program matches flat {num_partitions = P, ...} bit-for-bit,
-// not the unpartitioned default.
+// to the default schedule. chunk/tile/unroll/split_nnz and the derived tile
+// order never change the per-(row, element) edge accumulation order, and
+// the register-blocked unroll path folds the SAME sequential per-element
+// combine chain in the SAME edge order — unroll groups vectors across the
+// feature axis, never across edges, and no FMA contraction is introduced
+// (simd.hpp's accum_rows/waxpy_rows contract). partition(P) regroups each
+// destination row's in-edges by source bucket — the same intentional fold
+// reorder the flat num_partitions knob has always performed (Sec. IV-A) —
+// so a partitioned program matches flat {num_partitions = P, ...}
+// bit-for-bit, not the unpartitioned default.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -83,33 +86,30 @@ enum class IrTransformKind : int {
   kUnroll = 2,
   kSplitNnz = 3,
   kPartition = 4,
-  kOverridePartition = 5,
-  kShardRows = 6,
-  kStealGrain = 7,
+  kShardRows = 5,
+  kStealGrain = 6,
 };
 
 /// Number of transform kinds (validators size their duplicate bitmaps off
 /// this so a new kind cannot silently index past them).
-inline constexpr int kNumIrTransformKinds = 8;
+inline constexpr int kNumIrTransformKinds = 7;
 
 const char* ir_transform_name(IrTransformKind kind);
 
 struct IrTransform {
   IrTransformKind kind;
-  /// chunk size / tile width / unroll factor / partition count / override
-  /// tile width, depending on kind.
+  /// chunk size / tile width / unroll factor / partition count / shard
+  /// count / steal grain, depending on kind.
   std::int64_t factor = 0;
   /// kSplitNnz only: the row-split policy.
   LoadBalance balance = LoadBalance::kNnzBalanced;
-  /// kOverridePartition only: which partition segment the override targets.
-  int part_index = -1;
 };
 
 /// An ordered list of composable loop-nest transforms. Chainable builder:
 ///   ScheduleIr().chunk(256).tile(32).unroll(4)
 /// Order is kept for describe()/hashing but does not change semantics; each
-/// transform kind may appear at most once (override_partition: once per
-/// partition index) — duplicates are a legality error, not last-wins.
+/// transform kind may appear at most once — duplicates are a legality
+/// error, not last-wins.
 class ScheduleIr {
  public:
   ScheduleIr& chunk(std::int64_t rows) {
@@ -130,11 +130,6 @@ class ScheduleIr {
   }
   ScheduleIr& partition(int parts) {
     transforms_.push_back({IrTransformKind::kPartition, parts});
-    return *this;
-  }
-  ScheduleIr& override_partition(int index, std::int64_t tile_width) {
-    transforms_.push_back({IrTransformKind::kOverridePartition, tile_width,
-                           LoadBalance::kNnzBalanced, index});
     return *this;
   }
   ScheduleIr& shard(int num_shards) {
@@ -164,7 +159,7 @@ int isa_vector_width(simd::Isa isa);
 /// Legality check for an SpMM / fused-attention program against a concrete
 /// launch shape and backend. Returns "" when legal, else a clear error
 /// (duplicate transforms, unaligned tile, chunk > rows, unroll without tile,
-/// override without/past the partition transform, ...).
+/// steal_grain without shard, ...).
 std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
                              std::int64_t d_out, simd::Isa isa);
 
@@ -174,9 +169,9 @@ std::string validate_spmm_ir(const ScheduleIr& ir, std::int64_t num_rows,
 std::string validate_sddmm_ir(const ScheduleIr& ir, std::int64_t num_edges,
                               std::int64_t reduce_len, simd::Isa isa);
 
-/// One launch's hoisted SpMM decisions — what the kernel template actually
-/// interprets (inner loops stay branch-free; the only per-tile reads are
-/// plain struct fields).
+/// One launch's hoisted SpMM decisions — what the kernel template's loop
+/// nest actually runs (inner loops stay branch-free; the only per-tile reads
+/// are plain struct fields).
 struct LoweredSpmmPlan {
   std::int64_t feat_tile = 0;  // 0 = whole feature vector
   std::int64_t row_chunk = 0;  // 0 = no chunking
@@ -190,8 +185,6 @@ struct LoweredSpmmPlan {
   int num_shards = 0;
   /// steal_grain(G): shards per stealing claim (only read when sharded).
   std::int64_t steal_grain = 1;
-  /// (partition index, tile width) overrides, empty for most programs.
-  std::vector<std::pair<int, std::int64_t>> overrides;
 
   /// Shards the row sweep over `rows` actually runs: > 1 engages the
   /// work-stealing shard executor, else the static parallel_for split.
@@ -201,32 +194,18 @@ struct LoweredSpmmPlan {
         std::min<std::int64_t>(num_shards, std::max<std::int64_t>(rows, 1)));
   }
 
-  /// True when the plan needs the interpreting loop nest; false means the
-  /// flat fast path (the exact pre-IR code) already implements it.
-  bool needs_interpreter() const {
-    return row_chunk > 0 || register_block || !overrides.empty();
-  }
+  /// The derived loop order: true runs feature tiles outermost (one whole
+  /// traversal per tile, Fig. 6b); false nests the tiles inside each
+  /// thread's row chunks, where chunk() and register blocking get their
+  /// reuse. Either order folds every (row, element) through the same edge
+  /// chain, so the choice moves time, never bytes.
+  bool tiles_outermost() const { return row_chunk == 0 && !register_block; }
 
-  /// Effective tile width for partition `part` (-1 = unpartitioned),
-  /// clamped to [1, d_out].
-  std::int64_t tile_for(std::int64_t d_out, int part) const {
-    std::int64_t t = feat_tile;
-    for (const auto& o : overrides) {
-      if (o.first == part) {
-        t = o.second;
-        break;
-      }
-    }
-    if (t <= 0 || t > d_out) t = d_out;
+  /// Effective feature tile width, clamped to [1, d_out].
+  std::int64_t tile_for(std::int64_t d_out) const {
+    const std::int64_t t = feat_tile <= 0 || feat_tile > d_out ? d_out
+                                                               : feat_tile;
     return t > 0 ? t : 1;
-  }
-
-  /// Widest span any tile of this launch sweeps — the width the SpanOps
-  /// table is resolved for (span_ops_for_width).
-  std::int64_t max_tile(std::int64_t d_out) const {
-    std::int64_t w = tile_for(d_out, -1);
-    for (const auto& o : overrides) w = std::max(w, tile_for(d_out, o.first));
-    return w;
   }
 };
 
@@ -237,10 +216,10 @@ struct LoweredSddmmPlan {
 };
 
 /// Lowers `sched` for a concrete launch. With no IR attached the flat knobs
-/// pass through verbatim (needs_interpreter() == false — byte-for-byte the
-/// pre-IR launch). With an IR program attached the program is authoritative
-/// for every loop-nest decision except num_threads; illegal programs abort
-/// via FG_CHECK with the validate_spmm_ir message.
+/// pass through verbatim (feature tiles outermost). With an IR program
+/// attached the program is authoritative for every loop-nest decision
+/// except num_threads; illegal programs abort via FG_CHECK with the
+/// validate_spmm_ir message.
 LoweredSpmmPlan lower_spmm_schedule(const CpuSpmmSchedule& sched,
                                     std::int64_t num_rows, std::int64_t d_out,
                                     simd::Isa isa);
@@ -249,12 +228,6 @@ LoweredSpmmPlan lower_spmm_schedule(const CpuSpmmSchedule& sched,
 LoweredSddmmPlan lower_sddmm_schedule(const CpuSddmmSchedule& sched,
                                       std::int64_t num_edges,
                                       std::int64_t reduce_len, simd::Isa isa);
-
-/// The partition count a schedule asks for: the IR program's partition(P)
-/// factor when a program is attached, else the flat num_partitions knob.
-/// Callers that build the partitioning (spmm.cpp, attention.cpp) route
-/// through this so IR programs drive cached_partition too.
-int schedule_num_partitions(const CpuSpmmSchedule& sched);
 
 /// The flat knobs expressed as an IR program (the "thin view" direction):
 /// partition/tile/split_nnz transforms mirroring the struct fields, with

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "core/partition_cache.hpp"
 #include "core/spmm_kernels.hpp"
 
 namespace featgraph::core {
@@ -20,21 +19,18 @@ Tensor run_spmm(const graph::Csr& adj, const MsgFn& msg,
                 const CpuSpmmSchedule& fds,
                 const EpilogueOps* epilogue = nullptr) {
   Tensor out({adj.num_rows, d_out});
-  // IR programs carry their partition(P) transform; flat schedules their
-  // knob — schedule_num_partitions resolves whichever is authoritative.
-  const auto* parts = cached_partition(adj, schedule_num_partitions(fds));
   if (reduce_op == "sum") {
-    generalized_spmm<MsgFn, SumReducer>(adj, parts, msg, out.data(), d_out,
-                                       fds, epilogue);
+    generalized_spmm<MsgFn, SumReducer>(adj, msg, out.data(), d_out, fds,
+                                        epilogue);
   } else if (reduce_op == "max") {
-    generalized_spmm<MsgFn, MaxReducer>(adj, parts, msg, out.data(), d_out,
-                                       fds, epilogue);
+    generalized_spmm<MsgFn, MaxReducer>(adj, msg, out.data(), d_out, fds,
+                                        epilogue);
   } else if (reduce_op == "min") {
-    generalized_spmm<MsgFn, MinReducer>(adj, parts, msg, out.data(), d_out,
-                                       fds, epilogue);
+    generalized_spmm<MsgFn, MinReducer>(adj, msg, out.data(), d_out, fds,
+                                        epilogue);
   } else if (reduce_op == "mean") {
-    generalized_spmm<MsgFn, MeanReducer>(adj, parts, msg, out.data(), d_out,
-                                       fds, epilogue);
+    generalized_spmm<MsgFn, MeanReducer>(adj, msg, out.data(), d_out, fds,
+                                         epilogue);
   } else {
     FG_CHECK_MSG(false, "unknown reduce op (expected sum/max/min/mean)");
   }
@@ -44,6 +40,16 @@ Tensor run_spmm(const graph::Csr& adj, const MsgFn& msg,
 const Tensor& require(const Tensor* t, const char* what) {
   FG_CHECK_MSG(t != nullptr && t->defined(), what);
   return *t;
+}
+
+/// Per-edge feature width of an edge tensor. With edges it is numel / nnz;
+/// a graph with no edges reads it off the tensor's trailing shape instead
+/// ({0, d} -> d, {0} -> 1), so the launch still knows its output width.
+std::int64_t edge_width(const Tensor& e, std::int64_t nnz) {
+  if (nnz > 0) return e.numel() / nnz;
+  std::int64_t d = 1;
+  for (int i = 1; i < e.rank(); ++i) d *= e.shape(i);
+  return d;
 }
 
 }  // namespace
@@ -60,7 +66,7 @@ Tensor spmm(const graph::Csr& adj, std::string_view msg_op,
   if (msg_op == "copy_e") {
     const Tensor& e = require(operands.edge_feat, "copy_e requires edge_feat");
     FG_CHECK(e.rows() == adj.nnz() || e.numel() == adj.nnz());
-    const std::int64_t d = e.numel() / adj.nnz();
+    const std::int64_t d = edge_width(e, adj.nnz());
     return run_spmm(adj, CopyE{e.data(), d}, reduce_op, d, fds, epilogue);
   }
   if (msg_op == "u_add_v" || msg_op == "u_sub_v" || msg_op == "u_mul_v" ||
@@ -85,7 +91,7 @@ Tensor spmm(const graph::Csr& adj, std::string_view msg_op,
     const Tensor& e = require(operands.edge_feat, "u_op_e requires edge_feat");
     FG_CHECK(x.rows() == adj.num_cols);
     const std::int64_t d = x.row_size();
-    const std::int64_t d_edge = e.numel() / adj.nnz();
+    const std::int64_t d_edge = edge_width(e, adj.nnz());
     FG_CHECK_MSG(d_edge == 1 || d_edge == d,
                  "edge feature must be scalar or match src feature width");
     if (msg_op == "u_add_e")

@@ -2,17 +2,23 @@
 //
 // out[v, :] = REDUCE over in-edges (u -e-> v) of MSG(u, e, v)
 //
-// The coarse-grained template owns graph traversal: feature tiles outermost
-// (Fig. 6b), then 1D source partitions processed one at a time with all
-// threads cooperating inside the partition (Sec. IV-A), then destination
-// rows split across threads (race-free: each thread owns its rows; the
-// schedule's load_balance knob picks row-count or nnz-balanced boundaries).
-// The fine-grained UDF folds one edge's whole message span into the output
-// row per call (the bulk-span protocol of udf.hpp), so the innermost feature
-// loop is a dense contiguous sweep on the vector units — messages are never
-// materialized, and the fusion of message computation with the reducer
-// combine is FeatGraph's key advantage over deep-learning-framework
-// backends.
+// The coarse-grained template owns graph traversal through ONE loop nest:
+//
+//   [tile group] > partitions > row sweep > row chunks > tiles > rows > edges
+//
+// 1D source partitions are processed one at a time with all threads
+// cooperating inside the partition (Sec. IV-A); destination rows split
+// across threads (race-free: each thread owns its rows; the schedule's
+// load_balance knob picks row-count or nnz-balanced boundaries). The lowered
+// plan derives where the feature tiles sit: outermost (a tile group is one
+// tile, Fig. 6b) unless the program chunks rows or register-blocks, in which
+// case the group is the whole row and the tiles nest inside each thread's
+// row chunks. The fine-grained UDF folds one edge's whole message span into
+// the output row per call (the bulk-span protocol of udf.hpp), so the
+// innermost feature loop is a dense contiguous sweep on the vector units —
+// messages are never materialized, and the fusion of message computation
+// with the reducer combine is FeatGraph's key advantage over deep-learning-
+// framework backends.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +26,7 @@
 #include <type_traits>
 
 #include "core/epilogue.hpp"
+#include "core/partition_cache.hpp"
 #include "core/reducers.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_ir.hpp"
@@ -63,7 +70,7 @@ void run_row_sweep(const LoweredSpmmPlan& plan, const std::int64_t* indptr,
 /// Detects UDFs that implement the register-blocked row-group protocol
 /// (`kSupportsRowBlock` + `apply_rows`): the Schedule-IR unroll path calls
 /// apply_rows once per (row, tile) instead of apply once per edge. UDFs
-/// without the protocol interpret unroll programs edge-at-a-time — legal,
+/// without the protocol run unroll programs edge-at-a-time — legal,
 /// identical results, no register-blocking win.
 template <class T, class = void>
 struct HasRowBlock : std::false_type {};
@@ -73,17 +80,29 @@ struct HasRowBlock<T, std::void_t<decltype(T::kSupportsRowBlock)>>
 
 /// Aggregates rows [row_begin, row_end) x features [j0, j1) over one edge
 /// segment. `init` resets the tile to the reducer identity first (done on
-/// the first partition of each feature tile).
+/// the first partition of each feature tile). `unroll` > 0 folds each row's
+/// whole edge group through the UDF's register-blocked apply_rows with that
+/// many vectors live; UDFs without the protocol, and unroll == 0, fold
+/// edge-at-a-time — the same per-element chain in the same edge order.
 template <class MsgFn, class Reducer>
 void spmm_rows(const simd::SpanOps& ops, const std::int64_t* indptr,
                const graph::vid_t* indices, const graph::eid_t* edge_ids,
                std::int64_t row_begin, std::int64_t row_end, const MsgFn& msg,
                float* out, std::int64_t d_out, std::int64_t j0,
-               std::int64_t j1, bool init) {
+               std::int64_t j1, bool init, int unroll) {
   for (std::int64_t v = row_begin; v < row_end; ++v) {
     float* out_row = out + v * d_out;
     if (init) ops.fill(out_row + j0, Reducer::identity(), j1 - j0);
-    for (std::int64_t i = indptr[v]; i < indptr[v + 1]; ++i) {
+    const std::int64_t lo = indptr[v];
+    const std::int64_t hi = indptr[v + 1];
+    if constexpr (HasRowBlock<MsgFn>::value) {
+      if (unroll > 0) {
+        msg.template apply_rows<Reducer>(ops, indices + lo, hi - lo, out_row,
+                                         j0, j1, unroll);
+        continue;
+      }
+    }
+    for (std::int64_t i = lo; i < hi; ++i) {
       // UDFs that never read the edge id skip the edge_ids load entirely:
       // 8 B less adjacency traffic per edge visit, which matters for tiled
       // schedules that re-traverse the graph once per feature tile.
@@ -126,96 +145,16 @@ void spmm_postprocess(const simd::SpanOps& ops, const std::int64_t* row_degree,
       });
 }
 
-/// The Schedule-IR interpreting loop nest: chunked rows > feature tiles >
-/// rows > edges, with optional register-blocked row groups. Only launched
-/// when the lowered plan asks for something the flat nest can't express
-/// (row chunking, register blocking, per-partition overrides); the flat
-/// fast path below stays byte-for-byte the pre-IR kernel. Bit-identity: per
-/// (row, element) the fill-then-fold order over edges is exactly the flat
-/// nest's — chunking and tile reordering move whole (row, tile) blocks, and
-/// the blocked apply_rows folds the same per-element chain in the same edge
-/// order (simd.hpp accum_rows contract).
-template <class MsgFn, class Reducer>
-void spmm_interpret(const simd::SpanOps& ops, const graph::Csr& adj,
-                    const graph::SrcPartitionedCsr* parts, const MsgFn& msg,
-                    float* out, std::int64_t d_out,
-                    const LoweredSpmmPlan& plan) {
-  const std::int64_t n = adj.num_rows;
-  // One partition segment's sweep of rows [r0, r1), one thread.
-  const auto segment = [&](const std::int64_t* indptr,
-                           const graph::vid_t* indices,
-                           const graph::eid_t* edge_ids, std::int64_t r0,
-                           std::int64_t r1, bool init, int part) {
-    const std::int64_t tw = plan.tile_for(d_out, part);
-    const std::int64_t chunk = plan.row_chunk > 0 ? plan.row_chunk : r1 - r0;
-    for (std::int64_t c0 = r0; c0 < r1; c0 += std::max<std::int64_t>(chunk, 1)) {
-      const std::int64_t c1 = std::min(c0 + chunk, r1);
-      for (std::int64_t j0 = 0; j0 < d_out; j0 += tw) {
-        const std::int64_t j1 = std::min(j0 + tw, d_out);
-        for (std::int64_t v = c0; v < c1; ++v) {
-          float* out_row = out + v * d_out;
-          if (init)
-            ops.fill(out_row + j0, Reducer::identity(), j1 - j0);
-          const std::int64_t lo = indptr[v];
-          const std::int64_t hi = indptr[v + 1];
-          if constexpr (HasRowBlock<MsgFn>::value) {
-            if (plan.register_block) {
-              msg.template apply_rows<Reducer>(ops, indices + lo, hi - lo,
-                                               out_row, j0, j1, plan.unroll);
-              continue;
-            }
-          }
-          for (std::int64_t i = lo; i < hi; ++i) {
-            if constexpr (MsgFn::kUsesEdgeId) {
-              msg.template apply<Reducer>(ops, indices[i], edge_ids[i],
-                                          static_cast<graph::vid_t>(v),
-                                          out_row, j0, j1);
-            } else {
-              msg.template apply<Reducer>(ops, indices[i], 0,
-                                          static_cast<graph::vid_t>(v),
-                                          out_row, j0, j1);
-            }
-          }
-        }
-      }
-    }
-  };
-  // Threads cooperate inside one partition at a time (same nesting as the
-  // flat path); nnz balance is computed per segment.
-  const auto sweep = [&](const std::int64_t* indptr,
-                         const graph::vid_t* indices,
-                         const graph::eid_t* edge_ids, bool init, int part) {
-    const auto body = [&](std::int64_t r0, std::int64_t r1) {
-      segment(indptr, indices, edge_ids, r0, r1, init, part);
-    };
-    run_row_sweep(plan, indptr, n, body);
-  };
-  if (parts == nullptr || parts->parts.size() <= 1) {
-    sweep(adj.indptr.data(), adj.indices.data(), adj.edge_ids.data(),
-          /*init=*/true, /*part=*/-1);
-  } else {
-    FG_CHECK(parts->num_rows == adj.num_rows);
-    bool first = true;
-    int part = 0;
-    for (const auto& seg : parts->parts) {
-      sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(), first,
-            part);
-      first = false;
-      ++part;
-    }
-  }
-}
-
 }  // namespace detail
 
-/// Generalized SpMM over a destination-major CSR. `parts` may be null (no
-/// partitioning) or a 1D source partitioning of the same CSR. The schedule's
-/// feature tile, thread count, and load-balance policy apply in both cases.
+/// Generalized SpMM over a destination-major CSR. The schedule (flat knobs
+/// or an attached Schedule-IR program) lowers once per launch; its partition
+/// count fetches the cached 1D source partitioning of `adj`, and its feature
+/// tile, row chunk, register blocking, thread count, load-balance policy and
+/// sharding all drive the one loop nest below.
 template <class MsgFn, class Reducer>
-void generalized_spmm(const graph::Csr& adj,
-                      const graph::SrcPartitionedCsr* parts, const MsgFn& msg,
-                      float* out, std::int64_t d_out,
-                      const CpuSpmmSchedule& sched,
+void generalized_spmm(const graph::Csr& adj, const MsgFn& msg, float* out,
+                      std::int64_t d_out, const CpuSpmmSchedule& sched,
                       const EpilogueOps* epilogue = nullptr) {
   const std::int64_t n = adj.num_rows;
   if (n == 0 || d_out == 0) return;
@@ -248,22 +187,13 @@ void generalized_spmm(const graph::Csr& adj,
   // attached Schedule-IR program) lower ONCE into a plain plan struct.
   const LoweredSpmmPlan plan =
       lower_spmm_schedule(sched, n, d_out, simd::active_isa());
-
-  if (plan.needs_interpreter()) {
-    const simd::SpanOps& span = simd::span_ops_for_width(plan.max_tile(d_out));
-    detail::spmm_interpret<MsgFn, Reducer>(span, adj, parts, msg, out, d_out,
-                                           plan);
-    const std::int64_t* row_degree =
-        (parts != nullptr && parts->parts.size() > 1)
-            ? parts->row_degrees().data()
-            : adj.degrees().data();
-    detail::spmm_postprocess<Reducer>(span, row_degree, n, out, d_out,
-                                      plan.num_threads, epilogue);
-    return;
-  }
-
-  const std::int64_t tile =
-      plan.feat_tile > 0 ? std::min(plan.feat_tile, d_out) : d_out;
+  const graph::SrcPartitionedCsr* parts =
+      cached_partition(adj, plan.num_partitions);
+  const bool partitioned = parts != nullptr && parts->parts.size() > 1;
+  const std::int64_t tile = plan.tile_for(d_out);
+  const std::int64_t group = plan.tiles_outermost() ? tile : d_out;
+  const std::int64_t chunk = plan.row_chunk;
+  const int unroll = plan.register_block ? plan.unroll : 0;
 
   // Dispatch hoisted out of the inner loops: resolve the span-primitive
   // table ONCE per kernel launch and thread the reference through the
@@ -275,36 +205,45 @@ void generalized_spmm(const graph::Csr& adj,
   // fallback would pick, minus its per-span branch.
   const simd::SpanOps& span = simd::span_ops_for_width(tile);
 
-  // One edge segment, all threads cooperating; the load_balance knob picks
-  // whether thread boundaries equalize rows or nnz. Note nnz balance is
-  // computed per segment — a partition's skew, not the whole graph's,
-  // decides its boundaries.
+  // One edge segment over feature group [g0, g1), all threads cooperating;
+  // the load_balance knob picks whether thread boundaries equalize rows or
+  // nnz. Note nnz balance is computed per segment — a partition's skew, not
+  // the whole graph's, decides its boundaries.
   const auto sweep = [&](const std::int64_t* indptr,
                          const graph::vid_t* indices,
-                         const graph::eid_t* edge_ids, std::int64_t j0,
-                         std::int64_t j1, bool init) {
-    const auto body = [&](std::int64_t r0, std::int64_t r1) {
-      detail::spmm_rows<MsgFn, Reducer>(span, indptr, indices, edge_ids, r0,
-                                        r1, msg, out, d_out, j0, j1, init);
-    };
-    detail::run_row_sweep(plan, indptr, n, body);
+                         const graph::eid_t* edge_ids, std::int64_t g0,
+                         std::int64_t g1, bool init) {
+    detail::run_row_sweep(plan, indptr, n, [&](std::int64_t r0,
+                                               std::int64_t r1) {
+      const std::int64_t step =
+          std::max<std::int64_t>(chunk > 0 ? chunk : r1 - r0, 1);
+      for (std::int64_t c0 = r0; c0 < r1; c0 += step) {
+        const std::int64_t c1 = std::min(c0 + step, r1);
+        for (std::int64_t j0 = g0; j0 < g1; j0 += tile) {
+          detail::spmm_rows<MsgFn, Reducer>(span, indptr, indices, edge_ids,
+                                            c0, c1, msg, out, d_out, j0,
+                                            std::min(j0 + tile, g1), init,
+                                            unroll);
+        }
+      }
+    });
   };
 
-  for (std::int64_t j0 = 0; j0 < d_out; j0 += tile) {
-    const std::int64_t j1 = std::min(j0 + tile, d_out);
-    if (parts == nullptr || parts->parts.size() <= 1) {
-      sweep(adj.indptr.data(), adj.indices.data(), adj.edge_ids.data(), j0,
-            j1, /*init=*/true);
-    } else {
-      FG_CHECK(parts->num_rows == adj.num_rows);
-      bool first = true;
-      for (const auto& seg : parts->parts) {
-        // Threads cooperate inside ONE partition; the partition loop itself
-        // is sequential (Sec. IV-A: avoids LLC contention).
-        sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(), j0,
-              j1, first);
-        first = false;
-      }
+  for (std::int64_t g0 = 0; g0 < d_out; g0 += group) {
+    const std::int64_t g1 = std::min(g0 + group, d_out);
+    if (!partitioned) {
+      sweep(adj.indptr.data(), adj.indices.data(), adj.edge_ids.data(), g0,
+            g1, /*init=*/true);
+      continue;
+    }
+    FG_CHECK(parts->num_rows == adj.num_rows);
+    bool first = true;
+    for (const auto& seg : parts->parts) {
+      // Threads cooperate inside ONE partition; the partition loop itself
+      // is sequential (Sec. IV-A: avoids LLC contention).
+      sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(), g0,
+            g1, first);
+      first = false;
     }
   }
 
@@ -316,9 +255,7 @@ void generalized_spmm(const graph::Csr& adj,
   // partition_by_source's pass-1 counts) — either way the vector is
   // materialized once per structure, never per call.
   const std::int64_t* row_degree =
-      (parts != nullptr && parts->parts.size() > 1)
-          ? parts->row_degrees().data()
-          : adj.degrees().data();
+      partitioned ? parts->row_degrees().data() : adj.degrees().data();
   detail::spmm_postprocess<Reducer>(span, row_degree, n, out, d_out,
                                     plan.num_threads, epilogue);
 }

@@ -54,8 +54,8 @@ std::vector<CpuSpmmSchedule> default_spmm_ir_candidates(std::int64_t d_out,
   };
 
   // Candidate #0: the empty program. Lowered, it IS the untuned default
-  // schedule (needs_interpreter() == false), so the tuner's first
-  // measurement reproduces the pre-IR baseline bit-for-bit.
+  // schedule (same plan, same loop order), so the tuner's first measurement
+  // reproduces the default launch bit-for-bit.
   push(ScheduleIr{});
 
   // Register-blocked feature tiles x row chunks. Tile widths are lane

@@ -37,7 +37,7 @@ std::vector<CpuSpmmSchedule> default_spmm_candidates(std::int64_t d_out,
 
 /// Schedule-IR candidate grid. The FIRST candidate is the empty program —
 /// lowered it reproduces the untuned default schedule bit-for-bit, so the
-/// tuner's opening measurement is always the pre-IR baseline. The rest are
+/// tuner's opening measurement is always the default launch. The rest are
 /// legal IR programs (filtered through validate_spmm_ir against the active
 /// backend, so the AVX2 and AVX-512 legs see different tile-width axes):
 /// register-blocked feature tiles tile(W).unroll(U), row chunking chunk(C),

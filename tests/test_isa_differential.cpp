@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/attention.hpp"
+#include "core/partition_cache.hpp"
 #include "core/schedule_ir.hpp"
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
@@ -182,8 +183,11 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
   // partition(P) regroups each destination row's in-edges by source bucket
   // (an intentional fold reorder, same as the flat num_partitions knob), so
   // partitioned programs are pinned against their flat-knob spelling
-  // instead: same code path, bit-identical. (Cross-backend identity is the
-  // previous test; composing both gives program x ISA identity.)
+  // instead — the program nests the tiles inside row chunks, the flat
+  // spelling runs them outermost, and both must fold identically. (The
+  // bucket-ordered oracle test below pins that shared fold independently;
+  // cross-backend identity is the previous test; composing them gives
+  // program x ISA identity.)
   const Fixture& f = Fixture::get();
   const auto isas = fg::simd::supported_isas();
   using fg::core::ScheduleIr;
@@ -203,7 +207,6 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
       {ScheduleIr().tile(8).unroll(2).chunk(100)},
       {ScheduleIr().split_nnz(LoadBalance::kStaticRows).tile(8).unroll(4)},
       {ScheduleIr().partition(4).tile(16).unroll(4), 4, 16},
-      {ScheduleIr().partition(4).tile(16).override_partition(1, 8), 4, 16},
   };
   const char* msg_ops[] = {"copy_u", "copy_e", "u_add_v", "u_sub_v",
                            "u_mul_v", "u_div_v", "u_add_e", "u_mul_e", "mlp"};
@@ -235,6 +238,63 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
           EXPECT_TRUE(bit_equal(got, want))
               << op << "/" << red << " isa=" << fg::simd::isa_name(isa)
               << " program=" << c.prog.describe();
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaDifferential, SpmmPartitionedSchedulesMatchBucketOracleOnScalar) {
+  // A partitioned launch folds each row's in-edges bucket by bucket, so the
+  // in-order oracle only matches it to tolerance. The bucket-ordered oracle
+  // performs the scalar backend's exact IEEE operations in the same order,
+  // pinning the one SpMM loop nest bit-for-bit with no kernel on the other
+  // side: flat {P, W} schedules (tiles outermost; W = 5 leaves a ragged
+  // last tile) and a chunked register-blocked program (tiles inside row
+  // chunks), at 1, 3 and 4 threads. Other backends are bit-identical to
+  // scalar (SpmmAllUdfsReducersBalancesMatchOracleOnEveryIsa).
+  const Fixture& f = Fixture::get();
+  fg::simd::ScopedIsa pin(Isa::kScalar);
+  using fg::core::ScheduleIr;
+  struct Case {
+    int parts;
+    std::int64_t flat_tile;
+    std::shared_ptr<const ScheduleIr> prog;
+  };
+  const std::vector<Case> cases = {
+      {4, 0, nullptr},
+      {4, 8, nullptr},
+      {3, 5, nullptr},
+      {8, 16, nullptr},
+      {4, 0,
+       std::make_shared<const ScheduleIr>(
+           ScheduleIr().partition(4).tile(8).unroll(4).chunk(64))},
+  };
+  const char* msg_ops[] = {"copy_u", "copy_e", "u_add_v", "u_sub_v",
+                           "u_mul_v", "u_div_v", "u_add_e", "u_mul_e", "mlp"};
+  const char* reducers[] = {"sum", "max", "min", "mean"};
+  for (const char* op : msg_ops) {
+    const bool scalar_edge =
+        std::string(op) == "u_add_e" || std::string(op) == "u_mul_e";
+    const auto operands = operands_for(op, f, scalar_edge);
+    const auto ref_msg = ref_msg_for(op, f, scalar_edge);
+    for (const char* red : reducers) {
+      for (const Case& c : cases) {
+        const auto* parts = fg::core::cached_partition(f.in_csr, c.parts);
+        ASSERT_NE(parts, nullptr);
+        const Tensor oracle =
+            fg::testing::reference_spmm_bucketed(*parts, ref_msg, red, kDim);
+        for (const int threads : {1, 3, 4}) {
+          CpuSpmmSchedule s;
+          s.num_threads = threads;
+          s.num_partitions = c.parts;
+          s.feat_tile = c.flat_tile;
+          s.ir = c.prog;
+          const Tensor got = fg::core::spmm(f.in_csr, op, red, s, operands);
+          EXPECT_TRUE(bit_equal(got, oracle))
+              << op << "/" << red << " parts=" << c.parts
+              << " tile=" << c.flat_tile << " threads=" << threads
+              << " program=" << (c.prog ? c.prog->describe() : "");
         }
       }
     }

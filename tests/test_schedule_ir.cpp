@@ -1,9 +1,9 @@
 // Composable loop-nest Schedule-IR (core/schedule_ir.hpp): builder +
 // describe(), legality diagnostics (string-returning validator so the error
-// TEXT is testable), lowering semantics (empty program == flat fast path,
-// programs authoritative over flat knobs), program hashing, and the tuner
-// seeding contract — the first candidate / first seed point of both widened
-// tuners reproduces the default schedule bit-for-bit.
+// TEXT is testable), lowering semantics (empty program == flat knobs,
+// programs authoritative over flat knobs, the derived loop order), program
+// hashing, and the tuner seeding contract — the first candidate / first seed
+// point of both widened tuners reproduces the default schedule bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -46,8 +46,6 @@ TEST(ScheduleIr, BuilderKeepsOrderAndDescribes) {
                             .split_nnz(LoadBalance::kStaticRows);
   ASSERT_EQ(ir.transforms().size(), 4u);
   EXPECT_EQ(ir.describe(), "chunk(256).tile(32).unroll(4).split_nnz(rows)");
-  EXPECT_EQ(ScheduleIr().partition(4).override_partition(1, 16).describe(),
-            "partition(4).override_partition(1, 16)");
   EXPECT_TRUE(ScheduleIr().empty());
   EXPECT_EQ(ScheduleIr().describe(), "");
 }
@@ -57,12 +55,6 @@ TEST(ScheduleIr, LegalProgramsValidate) {
   EXPECT_EQ(err_spmm(ScheduleIr().chunk(kRows)), "");
   EXPECT_EQ(err_spmm(ScheduleIr().tile(32).unroll(4)), "");
   EXPECT_EQ(err_spmm(ScheduleIr().partition(8).tile(16).unroll(2).chunk(64)),
-            "");
-  EXPECT_EQ(err_spmm(ScheduleIr()
-                         .partition(4)
-                         .tile(32)
-                         .override_partition(0, 16)
-                         .override_partition(3, 64)),
             "");
   // Scalar backend: any width in [1, d] is a multiple of its 1-wide lanes.
   EXPECT_EQ(err_spmm(ScheduleIr().tile(13)), "");
@@ -105,19 +97,6 @@ TEST(ScheduleIr, IllegalProgramsReportClearErrors) {
   EXPECT_NE(err_spmm(ScheduleIr().tile(16).unroll(9))
                 .find("unroll factor must be in [1, 8]"),
             std::string::npos);
-  // Override legality: needs partition, in-range index, no duplicates.
-  EXPECT_NE(err_spmm(ScheduleIr().override_partition(0, 16))
-                .find("requires a partition transform"),
-            std::string::npos);
-  EXPECT_NE(err_spmm(ScheduleIr().partition(2).override_partition(2, 16))
-                .find("out of range for partition(2)"),
-            std::string::npos);
-  EXPECT_NE(err_spmm(ScheduleIr()
-                         .partition(4)
-                         .override_partition(1, 16)
-                         .override_partition(1, 32))
-                .find("duplicate transform: override_partition"),
-            std::string::npos);
 }
 
 TEST(ScheduleIr, SddmmValidatorAcceptsOnlyTileAndChunk) {
@@ -149,7 +128,7 @@ TEST(ScheduleIr, SddmmValidatorAcceptsOnlyTileAndChunk) {
 
 TEST(ScheduleIr, EmptyProgramLowersToFlatFastPath) {
   // Null IR and empty IR both pass the flat knobs through untouched and
-  // stay on the pre-IR fast path.
+  // run feature tiles outermost.
   CpuSpmmSchedule flat;
   flat.feat_tile = 32;
   flat.num_partitions = 4;
@@ -160,7 +139,7 @@ TEST(ScheduleIr, EmptyProgramLowersToFlatFastPath) {
     if (attach_empty) s.ir = std::make_shared<const ScheduleIr>();
     const LoweredSpmmPlan plan =
         fg::core::lower_spmm_schedule(s, kRows, kD, Isa::kScalar);
-    EXPECT_FALSE(plan.needs_interpreter());
+    EXPECT_TRUE(plan.tiles_outermost());
     EXPECT_EQ(plan.feat_tile, 32);
     EXPECT_EQ(plan.num_partitions, 4);
     EXPECT_EQ(plan.num_threads, 3);
@@ -183,7 +162,7 @@ TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
                                                     LoadBalance::kStaticRows));
   const LoweredSpmmPlan plan =
       fg::core::lower_spmm_schedule(s, kRows, kD, Isa::kScalar);
-  EXPECT_TRUE(plan.needs_interpreter());
+  EXPECT_FALSE(plan.tiles_outermost());
   EXPECT_EQ(plan.row_chunk, 256);
   EXPECT_EQ(plan.feat_tile, 32);
   EXPECT_EQ(plan.unroll, 4);
@@ -191,19 +170,31 @@ TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
   EXPECT_EQ(plan.num_partitions, 2);
   EXPECT_EQ(plan.load_balance, LoadBalance::kStaticRows);
   EXPECT_EQ(plan.num_threads, 2);  // the one flat knob programs never own
-  EXPECT_EQ(fg::core::schedule_num_partitions(s), 2);
+  EXPECT_EQ(plan.tile_for(kD), 32);
+}
 
-  // Per-partition overrides resolve through tile_for / max_tile.
-  CpuSpmmSchedule o;
-  o.ir = std::make_shared<const ScheduleIr>(
-      ScheduleIr().partition(4).tile(16).override_partition(2, 64));
-  const LoweredSpmmPlan oplan =
-      fg::core::lower_spmm_schedule(o, kRows, kD, Isa::kScalar);
-  EXPECT_TRUE(oplan.needs_interpreter());
-  EXPECT_EQ(oplan.tile_for(kD, 0), 16);
-  EXPECT_EQ(oplan.tile_for(kD, 2), 64);
-  EXPECT_EQ(oplan.tile_for(kD, -1), 16);
-  EXPECT_EQ(oplan.max_tile(kD), 64);
+TEST(ScheduleIr, LoopOrderIsDerivedFromTheProgram) {
+  // Tiles run outermost unless the program chunks rows or register-blocks;
+  // then they nest inside each thread's row chunks. Partitioning, tiling,
+  // the row split and sharding leave the order alone.
+  const auto lower = [](const ScheduleIr& ir) {
+    CpuSpmmSchedule s;
+    s.ir = std::make_shared<const ScheduleIr>(ir);
+    return fg::core::lower_spmm_schedule(s, kRows, kD, Isa::kScalar);
+  };
+  EXPECT_TRUE(lower(ScheduleIr().tile(16)).tiles_outermost());
+  EXPECT_TRUE(lower(ScheduleIr().partition(4).tile(16).split_nnz(
+                        LoadBalance::kStaticRows))
+                  .tiles_outermost());
+  EXPECT_TRUE(lower(ScheduleIr().shard(8).tile(16)).tiles_outermost());
+  EXPECT_FALSE(lower(ScheduleIr().chunk(64)).tiles_outermost());
+  EXPECT_FALSE(lower(ScheduleIr().tile(16).unroll(2)).tiles_outermost());
+  EXPECT_FALSE(
+      lower(ScheduleIr().partition(4).tile(8).unroll(4).chunk(64))
+          .tiles_outermost());
+  // tile_for clamps: no tile means the whole feature vector.
+  EXPECT_EQ(lower(ScheduleIr().chunk(64)).tile_for(kD), kD);
+  EXPECT_EQ(lower(ScheduleIr().tile(16)).tile_for(kD), 16);
 }
 
 TEST(ScheduleIr, ProgramHashTracksProgramNotThreads) {
@@ -239,8 +230,8 @@ TEST(ScheduleIr, ProgramHashTracksProgramNotThreads) {
 TEST(ScheduleIr, GridTunerFirstCandidateIsTheDefaultSchedule) {
   const auto grid = fg::core::default_spmm_ir_candidates(kD, kRows, 1);
   ASSERT_GT(grid.size(), 4u);
-  // Candidate #0: no program — lowers to the flat fast path, i.e. the
-  // untuned default schedule bit-for-bit.
+  // Candidate #0: no program — lowers to the untuned default schedule,
+  // bit-for-bit.
   EXPECT_EQ(grid[0].ir, nullptr);
   EXPECT_EQ(grid[0].feat_tile, 0);
   EXPECT_EQ(grid[0].num_partitions, 1);

@@ -169,9 +169,9 @@ TEST(ShardIr, LoweringCarriesShardKnobsAndClampsAtExecution) {
       fg::core::lower_spmm_schedule(s, 1000, 64, Isa::kScalar);
   EXPECT_EQ(plan.num_shards, 64);
   EXPECT_EQ(plan.steal_grain, 2);
-  // Shard-only programs stay on the flat fast path: sharding decomposes the
-  // row sweep, it does not change the per-row loop nest.
-  EXPECT_FALSE(plan.needs_interpreter());
+  // Shard-only programs keep feature tiles outermost: sharding decomposes
+  // the row sweep, it does not change the loop order.
+  EXPECT_TRUE(plan.tiles_outermost());
   EXPECT_EQ(plan.effective_shards(1000), 64);
   EXPECT_EQ(plan.effective_shards(10), 10);  // clamped to the row count
   EXPECT_EQ(plan.effective_shards(1), 1);

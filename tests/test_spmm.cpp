@@ -3,8 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/partition_cache.hpp"
+#include "core/reducers.hpp"
 #include "core/simd.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
@@ -185,6 +188,61 @@ TEST(Spmm, EmptyRowsProduceZeros) {
     for (std::int64_t j = 0; j < 4; ++j)
       EXPECT_EQ(out.at(0, j), 0.0f) << "reducer " << red;
     EXPECT_EQ(out.at(1, 0), 2.0f);
+  }
+}
+
+TEST(Spmm, ZeroEdgeGraphYieldsEmptyValueForEveryOpAndReducer) {
+  // No edges at all: the edge-feature ops must take their width from the
+  // edge tensor's shape (there is no nnz to divide by), and every row is an
+  // empty row holding the reducer's empty value.
+  constexpr std::int64_t kN = 5, kD = 7;
+  Coo coo;
+  coo.num_src = coo.num_dst = static_cast<fg::graph::vid_t>(kN);
+  const Csr in = fg::graph::coo_to_in_csr(coo);
+  ASSERT_EQ(in.nnz(), 0);
+  const Tensor x = Tensor::randn({kN, kD}, 81);
+  const Tensor w = Tensor::randn({kD, 3}, 82);
+  const Tensor e_vec = Tensor::zeros({0, kD});
+  const Tensor e_scal = Tensor::zeros({0});
+  struct Case {
+    const char* op;
+    SpmmOperands operands;
+    std::int64_t d_out;
+  };
+  const std::vector<Case> cases = {
+      {"copy_u", {&x, nullptr, nullptr}, kD},
+      {"copy_e", {nullptr, &e_vec, nullptr}, kD},
+      {"copy_e", {nullptr, &e_scal, nullptr}, 1},
+      {"u_add_v", {&x, nullptr, nullptr}, kD},
+      {"u_sub_v", {&x, nullptr, nullptr}, kD},
+      {"u_mul_v", {&x, nullptr, nullptr}, kD},
+      {"u_div_v", {&x, nullptr, nullptr}, kD},
+      {"u_add_e", {&x, &e_vec, nullptr}, kD},
+      {"u_add_e", {&x, &e_scal, nullptr}, kD},
+      {"u_mul_e", {&x, &e_vec, nullptr}, kD},
+      {"u_mul_e", {&x, &e_scal, nullptr}, kD},
+      {"mlp", {&x, nullptr, &w}, 3},
+  };
+  const std::pair<const char*, float> reducers[] = {
+      {"sum", fg::core::SumReducer::empty_value()},
+      {"max", fg::core::MaxReducer::empty_value()},
+      {"min", fg::core::MinReducer::empty_value()},
+      {"mean", fg::core::MeanReducer::empty_value()},
+  };
+  CpuSpmmSchedule partitioned;
+  partitioned.num_partitions = 2;
+  partitioned.feat_tile = 4;
+  partitioned.num_threads = 3;
+  for (const Case& c : cases) {
+    for (const auto& [red, empty] : reducers) {
+      for (const CpuSpmmSchedule& sched : {CpuSpmmSchedule{}, partitioned}) {
+        const Tensor out = fg::core::spmm(in, c.op, red, sched, c.operands);
+        ASSERT_EQ(out.rows(), kN) << c.op << "/" << red;
+        ASSERT_EQ(out.row_size(), c.d_out) << c.op << "/" << red;
+        for (std::int64_t i = 0; i < out.numel(); ++i)
+          ASSERT_EQ(out.at(i), empty) << c.op << "/" << red << " at " << i;
+      }
+    }
   }
 }
 
