@@ -11,7 +11,6 @@
 //   $ ./bench_schedule_ir
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,19 +68,23 @@ int main() {
   const auto isas = fg::simd::supported_isas();
   const int reps = std::max(2, fg::support::bench_reps() - 1);
 
-  // One kernel row: tune the flat grid and the IR grid under each ISA pin
-  // with the same measurement protocol (tune_* already does best-of-reps
-  // per candidate), then compare the winners.
+  // One kernel row: grid-search the flat list and the IR list under each
+  // ISA pin with the same measure function (mean of `reps` launches per
+  // candidate), then compare the winners.
   const auto run_row = [&](const char* name,
-                           const std::function<fg::core::SpmmTuneResult(
-                               std::vector<CpuSpmmSchedule>)>& tune) {
+                           const fg::core::MeasureFn<CpuSpmmSchedule>&
+                               measure) {
     RowResult row;
     row.name = name;
     for (const Isa isa : isas) {
       fg::simd::ScopedIsa pin(isa);
+      const auto grid = [&](std::vector<CpuSpmmSchedule> cands) {
+        return fg::core::tune(fg::core::list_space(std::move(cands)), measure,
+                              fg::core::Search::grid());
+      };
       const auto flat =
-          tune(fg::core::default_spmm_candidates(d, /*num_threads=*/1));
-      const auto ir = tune(fg::core::default_spmm_ir_candidates(
+          grid(fg::core::default_spmm_candidates(d, /*num_threads=*/1));
+      const auto ir = grid(fg::core::default_spmm_ir_candidates(
           d, csr.num_rows, /*num_threads=*/1));
       row.flat_sec.push_back(flat.best_seconds);
       row.ir_sec.push_back(ir.best_seconds);
@@ -100,20 +103,17 @@ int main() {
 
   std::vector<RowResult> rows;
   const fg::core::SpmmOperands xops{&x, nullptr, nullptr};
-  rows.push_back(run_row("spmm_copy_u_sum_d64", [&](auto cands) {
-    return fg::core::tune_spmm(csr, "copy_u", "sum", xops, std::move(cands),
-                               reps);
-  }));
-  rows.push_back(run_row("spmm_copy_u_max_d64", [&](auto cands) {
-    return fg::core::tune_spmm(csr, "copy_u", "max", xops, std::move(cands),
-                               reps);
-  }));
+  rows.push_back(run_row("spmm_copy_u_sum_d64",
+                         fg::core::spmm_measure(csr, "copy_u", "sum", xops,
+                                                reps)));
+  rows.push_back(run_row("spmm_copy_u_max_d64",
+                         fg::core::spmm_measure(csr, "copy_u", "max", xops,
+                                                reps)));
   fg::core::AttentionOperands aops;
   aops.src_feat = &x;
-  rows.push_back(run_row("attention_copy_u_d64", [&](auto cands) {
-    return fg::core::tune_attention(csr, "copy_u", aops, std::move(cands),
-                                    reps);
-  }));
+  rows.push_back(run_row("attention_copy_u_d64",
+                         fg::core::attention_measure(csr, "copy_u", aops,
+                                                     reps)));
 
   // --- splice the "schedule_ir" section --------------------------------
   std::string body = "{\n";

@@ -34,7 +34,10 @@ fg::core::CpuSpmmSchedule tuned_schedule(const fg::graph::Csr& adj,
       grid.push_back(s);
     }
   }
-  return fg::core::tune_spmm(adj, msg_op, red, ops, grid).best;
+  return fg::core::tune(fg::core::list_space(std::move(grid)),
+                        fg::core::spmm_measure(adj, msg_op, red, ops),
+                        fg::core::Search::grid())
+      .best;
 }
 
 void gcn_aggregation(const std::vector<fg::graph::Dataset>& datasets) {

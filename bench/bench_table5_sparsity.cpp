@@ -47,7 +47,11 @@ int main() {
       grid.push_back(s);
     }
     const auto sched =
-        fg::core::tune_spmm(d.graph.in_csr(), "copy_u", "sum", ops, grid).best;
+        fg::core::tune(fg::core::list_space(std::move(grid)),
+                       fg::core::spmm_measure(d.graph.in_csr(), "copy_u",
+                                              "sum", ops),
+                       fg::core::Search::grid())
+            .best;
     const double featgraph = fb::measure_seconds([&] {
       (void)fg::core::spmm(d.graph.in_csr(), "copy_u", "sum", sched, ops);
     });

@@ -15,6 +15,7 @@
 #include "core/partition_cache.hpp"
 #include "core/reducers.hpp"
 #include "core/schedule_ir.hpp"
+#include "core/spmm.hpp"
 #include "core/spmm_kernels.hpp"
 #include "core/udf.hpp"
 #include "graph/partition.hpp"
@@ -372,8 +373,8 @@ AttentionResult attention(const graph::Csr& adj, std::string_view msg_op,
   }
   if (msg_op == "copy_e") {
     const Tensor& e = require(operands.edge_feat, "copy_e requires edge_feat");
-    FG_CHECK(adj.nnz() > 0 && e.numel() % adj.nnz() == 0);
-    const std::int64_t d = e.numel() / adj.nnz();
+    FG_CHECK(adj.nnz() == 0 || e.numel() % adj.nnz() == 0);
+    const std::int64_t d = edge_width(e, adj.nnz());
     res.out = run_attention(adj, WCopyE{e.data(), d, a}, d, fds, operands, a);
     return res;
   }
@@ -402,7 +403,7 @@ AttentionResult attention(const graph::Csr& adj, std::string_view msg_op,
     const Tensor& e = require(operands.edge_feat, "u_op_e requires edge_feat");
     FG_CHECK(x.rows() == adj.num_cols);
     const std::int64_t d = x.row_size();
-    const std::int64_t d_edge = adj.nnz() > 0 ? e.numel() / adj.nnz() : 1;
+    const std::int64_t d_edge = edge_width(e, adj.nnz());
     FG_CHECK_MSG(d_edge == 1 || d_edge == d,
                  "edge feature must be scalar or match src feature width");
     if (msg_op == "u_add_e") {

@@ -32,10 +32,10 @@ enum class LoadBalance : int {
 };
 
 /// The load-balance values worth searching at a given thread count — the
-/// single source of truth both tuners draw their axis from. At one thread
-/// the two policies run the identical sweep, so only the default is listed;
-/// element 0 always matches CpuSpmmSchedule's default (the smart tuner's
-/// first seed point relies on that).
+/// single source of truth every tuner space draws its axis from. At one
+/// thread the two policies run the identical sweep, so only the default is
+/// listed; element 0 always matches CpuSpmmSchedule's default (the
+/// spmm_lattice origin relies on that).
 inline std::vector<LoadBalance> load_balance_axis(int num_threads) {
   if (num_threads <= 1) return {LoadBalance::kNnzBalanced};
   return {LoadBalance::kNnzBalanced, LoadBalance::kStaticRows};
@@ -107,7 +107,7 @@ struct GpuSpmmSchedule {
   /// the scratch spills its logits to global memory (two stores — the
   /// logit write and the exp rewrite — plus three read passes per spilled
   /// logit), so the knob trades softmax spills against source-staging
-  /// reuse — both tuners search it.
+  /// reuse — both tuner searches cover it.
   double attention_softmax_smem_frac = 0.5;
 };
 

@@ -42,17 +42,14 @@ const Tensor& require(const Tensor* t, const char* what) {
   return *t;
 }
 
-/// Per-edge feature width of an edge tensor. With edges it is numel / nnz;
-/// a graph with no edges reads it off the tensor's trailing shape instead
-/// ({0, d} -> d, {0} -> 1), so the launch still knows its output width.
+}  // namespace
+
 std::int64_t edge_width(const Tensor& e, std::int64_t nnz) {
   if (nnz > 0) return e.numel() / nnz;
   std::int64_t d = 1;
   for (int i = 1; i < e.rank(); ++i) d *= e.shape(i);
   return d;
 }
-
-}  // namespace
 
 Tensor spmm(const graph::Csr& adj, std::string_view msg_op,
             std::string_view reduce_op, const CpuSpmmSchedule& fds,

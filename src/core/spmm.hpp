@@ -40,6 +40,11 @@ tensor::Tensor spmm(const graph::Csr& adj, std::string_view msg_op,
                     const SpmmOperands& operands,
                     const EpilogueOps* epilogue = nullptr);
 
+/// Per-edge feature width of an edge tensor. With edges it is numel / nnz;
+/// a graph with no edges reads it off the tensor's trailing shape instead
+/// ({0, d} -> d, {0} -> 1), so a launch still knows its output width.
+std::int64_t edge_width(const tensor::Tensor& e, std::int64_t nnz);
+
 /// Blackbox-UDF fallback: `msg` writes the full d_out message per edge. This
 /// is both the flexibility escape hatch and the reference semantics used by
 /// tests (a traditional graph system can only run SpMM this way).

@@ -7,7 +7,7 @@
 //   core::spmm / core::sddmm     generalized sparse templates + builtin UDFs
 //   core::attention              fused SDDMM -> edge-softmax -> SpMM kernel
 //   core::CpuSpmmSchedule etc.   two-level schedules (template half + FDS)
-//   core::tune_spmm              grid-search schedule tuner
+//   core::tune                   schedule tuner: grid or climb over a Space
 //   gpusim::*                    GPU execution-model simulator kernels
 //   baselines::*                 Ligra-, MKL-, Gunrock-, cuSPARSE-style comparators
 //   minidgl::*                   miniature GNN framework (GCN/GraphSage/GAT)

@@ -76,9 +76,11 @@ Tensor run_spmm(ExecContext& ctx, const graph::Csr& adj,
         adj.num_rows, adj.nnz(), d_out, ctx.num_threads,
         core::schedule_program_hash(probe, epilogue_sig), [&] {
           if (ctx.tune_block_schedules) {
-            return core::tune_spmm(adj, msg_op, reduce_op, operands,
-                                   core::default_spmm_candidates(
-                                       d_out, ctx.num_threads))
+            return core::tune(core::list_space(core::default_spmm_candidates(
+                                  d_out, ctx.num_threads)),
+                              core::spmm_measure(adj, msg_op, reduce_op,
+                                                 operands),
+                              core::Search::grid())
                 .best;
           }
           return core::heuristic_spmm_schedule(adj, d_out, ctx.num_threads);

@@ -47,8 +47,8 @@ struct ExecContext {
   /// per-uid partition cache would grow without bound over a stream of
   /// short-lived block adjacencies.
   sample::BlockScheduleCache* schedule_cache = nullptr;
-  /// With schedule_cache set: consult the grid tuner (tune_spmm over the
-  /// default candidate grid, timed on the first block of each shape class)
+  /// With schedule_cache set: consult the grid tuner (core::tune over the
+  /// default candidate list, timed on the first block of each shape class)
   /// instead of the O(1) heuristic.
   bool tune_block_schedules = false;
   /// When set, CPU SpMM launches run this Schedule-IR program (attached to

@@ -50,7 +50,10 @@ class Tensor {
     return rank() <= 1 ? 1 : shape_[0];
   }
   std::int64_t row_size() const {
-    return rank() <= 1 ? numel_ : numel_ / shape_[0];
+    if (rank() <= 1) return numel_;
+    std::int64_t n = 1;
+    for (std::size_t i = 1; i < shape_.size(); ++i) n *= shape_[i];
+    return n;
   }
 
   float* data() { return data_.get(); }

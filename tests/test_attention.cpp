@@ -20,6 +20,7 @@
 #include "core/attention.hpp"
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
+#include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "reference.hpp"
 
@@ -373,6 +374,41 @@ TEST(Attention, ZeroDegreeRowsYieldZerosNeverNaN) {
     const Tensor alpha = fg::core::edge_softmax(ein, none, 2);
     EXPECT_EQ(alpha.numel(), 0);
   }
+}
+
+TEST(Attention, ZeroEdgeGraphRunsEveryMsgOp) {
+  // Like spmm, attention over a graph with no edges returns all-zero rows
+  // of the message width for every msg op — copy_e and u_op_e read the
+  // width off the {0, d} edge tensor's trailing shape — and so does the
+  // memoized tuner's width lookup.
+  Coo empty;
+  empty.num_src = empty.num_dst = 5;
+  const Csr ein = fg::graph::coo_to_in_csr(empty);
+  const Tensor x = Tensor::randn({5, 7}, 556);
+  const Tensor xsmall = Tensor::randn({5, 3}, 557);
+  const Tensor w = Tensor::randn({3, 7}, 558);
+  const Tensor e = Tensor::zeros({0, 7});
+  for (const char* op : {"copy_u", "copy_e", "u_add_v", "u_sub_v", "u_mul_v",
+                         "u_div_v", "u_add_e", "u_mul_e", "mlp"}) {
+    AttentionOperands operands;
+    const bool mlp = std::string(op) == "mlp";
+    operands.src_feat = mlp ? &xsmall : &x;
+    operands.weight = mlp ? &w : nullptr;
+    operands.edge_feat = &e;
+    operands.query = &x;
+    const AttentionResult r = fg::core::attention(ein, op, {}, operands);
+    EXPECT_EQ(r.alpha.numel(), 0) << op;
+    ASSERT_EQ(r.out.rows(), 5) << op;
+    ASSERT_EQ(r.out.row_size(), 7) << op;
+    for (std::int64_t i = 0; i < r.out.numel(); ++i)
+      EXPECT_EQ(r.out.at(i), 0.0f) << op << " " << i;
+  }
+  AttentionOperands copy_e;
+  copy_e.edge_feat = &e;
+  copy_e.query = &x;
+  const CpuSpmmSchedule s =
+      fg::core::tuned_attention_schedule(ein, "copy_e", copy_e, 1);
+  EXPECT_EQ(s.num_threads, 1);
 }
 
 TEST(Attention, AlphaIsInvariantAcrossEverySchedule) {

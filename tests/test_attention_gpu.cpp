@@ -11,7 +11,6 @@
 #include <string>
 
 #include "core/attention.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "gpusim/attention_gpu.hpp"
 #include "graph/generators.hpp"
@@ -256,9 +255,10 @@ TEST(AttentionGpu, GridTunerSearchesTheGpuAttentionAxis) {
   const Fixture& f = Fixture::get();
   AttentionOperands operands;
   operands.src_feat = &f.x;
-  auto tuned = fg::core::tune_attention_gpu(
-      f.in_csr, "copy_u", operands,
-      fg::core::default_gpu_attention_candidates());
+  auto tuned = fg::core::tune(
+      fg::core::list_space(fg::core::default_gpu_attention_candidates()),
+      fg::core::gpu_attention_measure(f.in_csr, "copy_u", operands),
+      fg::core::Search::grid());
   EXPECT_FALSE(tuned.trials.empty());
   for (const auto& t : tuned.trials)
     EXPECT_LE(tuned.best_seconds, t.seconds);
@@ -280,18 +280,23 @@ TEST(AttentionGpu, SmartTunerClimbsTheGpuAttentionLattice) {
   AttentionOperands operands;
   operands.src_feat = &f.x;
   const auto measure =
-      fg::core::gpu_attention_measure_fn(f.in_csr, "copy_u", operands);
+      fg::core::gpu_attention_measure(f.in_csr, "copy_u", operands);
   fg::core::SmartTuneOptions options;
   options.max_trials = 10;
-  const auto result = fg::core::smart_tune_gpu_attention(measure, options);
-  EXPECT_LE(result.trials_used, options.max_trials);
-  EXPECT_GE(result.trials_used, 1);
+  const auto climb = [&] {
+    return fg::core::tune(fg::core::gpu_attention_lattice(), measure,
+                          fg::core::Search::climb(options));
+  };
+  const auto result = climb();
+  EXPECT_LE(result.trials.size(),
+            static_cast<std::size_t>(options.max_trials));
+  EXPECT_GE(result.trials.size(), 1u);
   // The first seed is the default lattice point, so the winner can only
   // improve on it.
   fg::core::GpuSpmmSchedule seed;
   seed.hybrid_partition = true;
   EXPECT_LE(result.best_seconds, measure(seed));
   // Deterministic objective + fixed seed => reproducible search.
-  const auto again = fg::core::smart_tune_gpu_attention(measure, options);
+  const auto again = climb();
   EXPECT_DOUBLE_EQ(again.best_seconds, result.best_seconds);
 }

@@ -1,103 +1,18 @@
-// Tests for the extension modules: the budgeted smart tuner (the paper's
-// future-work item), graph statistics, binary graph I/O, symmetric GCN
-// normalization, and multi-head GAT.
+// Tests for the extension modules: graph statistics, binary graph I/O,
+// symmetric GCN normalization, and multi-head GAT.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <map>
 
-#include "core/smart_tuner.hpp"
-#include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "minidgl/train.hpp"
-#include "support/timer.hpp"
 
 namespace fg = featgraph;
-using fg::core::CpuSpmmSchedule;
-using fg::core::SmartTuneOptions;
 using fg::graph::Coo;
 using fg::tensor::Tensor;
-
-// --- smart tuner -----------------------------------------------------------
-
-namespace {
-
-/// Synthetic unimodal cost surface with minimum at (parts=8, tile=32).
-double synthetic_cost(const CpuSpmmSchedule& s) {
-  const double lp = std::log2(static_cast<double>(s.num_partitions));
-  const double lt = s.feat_tile == 0
-                        ? 7.0  // "untiled" sits past the largest tile
-                        : std::log2(static_cast<double>(s.feat_tile));
-  return 1.0 + 0.3 * (lp - 3.0) * (lp - 3.0) + 0.2 * (lt - 5.0) * (lt - 5.0);
-}
-
-}  // namespace
-
-TEST(SmartTuner, FindsUnimodalOptimumWithinBudget) {
-  // The (partitions x tiles) lattice for d=256 has 7x6 = 42 points; the
-  // climber must find the global optimum (8, 32) with under half as many
-  // measurements.
-  int calls = 0;
-  const auto result = fg::core::smart_tune_spmm(
-      256, 1,
-      [&](const CpuSpmmSchedule& s) {
-        ++calls;
-        return synthetic_cost(s);
-      },
-      SmartTuneOptions{.max_trials = 20, .num_seeds = 3, .seed = 7});
-  EXPECT_EQ(result.best.num_partitions, 8);
-  EXPECT_EQ(result.best.feat_tile, 32);
-  EXPECT_LE(result.trials_used, 20);
-  EXPECT_EQ(calls, result.trials_used);
-}
-
-TEST(SmartTuner, RespectsHardBudget) {
-  const auto result = fg::core::smart_tune_spmm(
-      512, 1, [](const CpuSpmmSchedule& s) { return synthetic_cost(s); },
-      SmartTuneOptions{.max_trials = 4});
-  EXPECT_LE(result.trials_used, 4);
-  EXPECT_TRUE(std::isfinite(result.best_seconds));
-}
-
-TEST(SmartTuner, DeterministicForFixedSeed) {
-  auto run = [] {
-    return fg::core::smart_tune_spmm(
-        128, 2, [](const CpuSpmmSchedule& s) { return synthetic_cost(s); },
-        SmartTuneOptions{.max_trials = 10, .seed = 42});
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.best.num_partitions, b.best.num_partitions);
-  EXPECT_EQ(a.best.feat_tile, b.best.feat_tile);
-  EXPECT_EQ(a.trials_used, b.trials_used);
-}
-
-TEST(SmartTuner, NeedsFewerTrialsThanGridOnRealKernel) {
-  // The future-work claim: reach (close to) the grid winner in a fraction
-  // of the measurements on a real cost surface.
-  const Coo coo = fg::graph::gen_uniform(3000, 24.0, 5);
-  const auto in = fg::graph::coo_to_in_csr(coo);
-  Tensor x = Tensor::randn({3000, 64}, 6);
-  const fg::core::SpmmOperands ops{&x, nullptr, nullptr};
-
-  auto measure = [&](const CpuSpmmSchedule& s) {
-    return fg::support::time_mean_seconds(
-        [&] { (void)fg::core::spmm(in, "copy_u", "sum", s, ops); }, 1);
-  };
-
-  const auto grid = fg::core::default_spmm_candidates(64, 1);
-  const auto grid_result =
-      fg::core::tune_spmm(in, "copy_u", "sum", ops, grid, 1);
-  const auto smart = fg::core::smart_tune_spmm(
-      64, 1, measure, SmartTuneOptions{.max_trials = 10});
-
-  EXPECT_LT(smart.trials_used, static_cast<int>(grid.size()));
-  // Within 60% of the grid winner (timing noise on a busy box is real).
-  EXPECT_LT(smart.best_seconds, grid_result.best_seconds * 1.6 + 1e-4);
-}
 
 // --- graph statistics --------------------------------------------------
 

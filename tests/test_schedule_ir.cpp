@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/schedule_ir.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/spmm.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
@@ -252,15 +251,15 @@ TEST(ScheduleIr, SmartTunerFirstSeedIsTheDefaultSchedule) {
   std::vector<CpuSpmmSchedule> measured;
   fg::core::SmartTuneOptions opts;
   opts.max_trials = 6;
-  const auto result = fg::core::smart_tune_spmm_ir(
-      kD, kRows, 1,
+  const auto result = fg::core::tune(
+      fg::core::spmm_ir_lattice(kD, kRows, 1),
       [&](const CpuSpmmSchedule& s) {
         measured.push_back(s);
         return 1.0;  // flat cost surface: the seed point stays the winner
       },
-      opts);
+      fg::core::Search::climb(opts));
   ASSERT_FALSE(measured.empty());
-  EXPECT_LE(result.trials_used, opts.max_trials);
+  EXPECT_LE(result.trials.size(), static_cast<std::size_t>(opts.max_trials));
   // First measurement = the empty program = the default schedule.
   EXPECT_EQ(measured[0].ir, nullptr);
   EXPECT_EQ(fg::core::schedule_program_hash(measured[0]),

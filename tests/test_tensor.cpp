@@ -25,6 +25,17 @@ TEST(Tensor, ShapeAndSizeBookkeeping) {
   EXPECT_EQ(r3.row_size(), 12);
 }
 
+TEST(Tensor, ZeroRowTensorsKeepTheirRowSize) {
+  // The row width is the product of the trailing dims, so it survives a
+  // zero leading dim (the {0, d} edge features of a graph with no edges).
+  const Tensor e = Tensor::zeros({0, 7});
+  EXPECT_EQ(e.rows(), 0);
+  EXPECT_EQ(e.row_size(), 7);
+  const Tensor e3 = Tensor::zeros({0, 3, 4});
+  EXPECT_EQ(e3.rows(), 0);
+  EXPECT_EQ(e3.row_size(), 12);
+}
+
 TEST(Tensor, ZerosAndFullInitialize) {
   Tensor z = Tensor::zeros({2, 2});
   for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(z.at(i), 0.0f);
